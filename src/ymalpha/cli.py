@@ -71,6 +71,17 @@ def _check_range(name, value, lo, hi):
                          % (name, value, lo, hi))
 
 
+def _positive_int(text):
+    """argparse type for a count that must be >= 1."""
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if v < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % v)
+    return v
+
+
 def _parse_grid(text):
     """a:b:n -> n geometrically spaced values from a to b."""
     parts = text.split(":")
@@ -82,6 +93,37 @@ def _parse_grid(text):
     return np.geomspace(a, b, n)
 
 
+def _check_config(cfg):
+    """Each value must have the type of its verify.DEFAULTS entry (an int
+    passes for a float); the seed must be >= 0 and every count and
+    tolerance > 0."""
+    unknown = set(cfg) - set(verify.DEFAULTS)
+    if unknown:
+        raise UsageError("unknown config keys: %s" % ", ".join(sorted(unknown)))
+    for key in sorted(cfg):
+        v, want = cfg[key], type(verify.DEFAULTS[key])
+        if not (type(v) is want or (want is float and type(v) is int)):
+            raise UsageError("config value %s = %r must be of type %s"
+                             % (key, v, want.__name__))
+        if key == "seed" and v < 0:
+            raise UsageError("config value seed = %d must be >= 0" % v)
+        if key != "seed" and not v > 0:
+            raise UsageError("config value %s = %r must be > 0" % (key, v))
+
+
+def _adhm_model(adhm):
+    """The instanton of --adhm XI SCALE (centre XI on the first axis), or the
+    basic connection when the option is absent."""
+    if adhm is None:
+        return fields.basic_connection()
+    x0, scale = adhm
+    if not scale > 0:
+        raise UsageError("--adhm SCALE must be positive, got %g" % scale)
+    xi = np.zeros(4)
+    xi[0] = x0
+    return fields.Adhm(xi if x0 != 0 else None, scale)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -89,9 +131,7 @@ def _parse_grid(text):
 def cmd_verify(args):
     cfg = read_config(args.config) if args.config else {}
     apply_overrides(cfg, args.override)
-    unknown = set(cfg) - set(verify.DEFAULTS)
-    if unknown:
-        raise UsageError("unknown config keys: %s" % ", ".join(sorted(unknown)))
+    _check_config(cfg)
     report = verify.run_suite(cfg, log=lambda s: print(s, flush=True))
     text = report.to_json()
     if args.report:
@@ -107,25 +147,17 @@ def cmd_verify(args):
 def cmd_energy(args):
     _check_range("alpha", args.alpha, 1.0, 2.0)
     _check_range("lambda", args.lam, 1.0, 1.0e4)
-    if args.adhm is not None:
-        xi = np.zeros(4)
-        xi[0] = args.adhm[0]
-        model = fields.Adhm(xi if args.adhm[0] != 0 else None, args.adhm[1])
-    else:
-        model = fields.basic_connection()
+    model = _adhm_model(args.adhm)
+    if not model.is_radial:
+        raise UsageError("energy has no quadrature route for an off-centre "
+                         "instanton; use --adhm 0 SCALE")
     rep = energy.ym_alpha_lambda(model, args.alpha, args.lam, n=args.n)
     print(rep.to_json())
     return EXIT_OK
 
 
 def cmd_charge(args):
-    if args.adhm is not None:
-        xi = np.zeros(4)
-        xi[0] = args.adhm[0]
-        model = fields.Adhm(xi if args.adhm[0] != 0 else None, args.adhm[1])
-    else:
-        model = fields.basic_connection()
-    q = energy.topological_charge(model, n=args.n)
+    q = energy.topological_charge(_adhm_model(args.adhm), n=args.n)
     print(json.dumps({"charge": q}, indent=1, sort_keys=True))
     return EXIT_OK
 
@@ -216,19 +248,20 @@ def build_parser():
                    help="dilation twist parameter")
     q.add_argument("--adhm", nargs=2, type=float, metavar=("XI", "SCALE"),
                    help="instanton center (first coordinate) and scale")
-    q.add_argument("--n", type=int, default=96, help="quadrature size")
+    q.add_argument("--n", type=_positive_int, default=96,
+                   help="quadrature size")
     q.set_defaults(func=cmd_energy)
 
     q = sub.add_parser("charge", help="topological charge")
     q.add_argument("--adhm", nargs=2, type=float, metavar=("XI", "SCALE"))
-    q.add_argument("--n", type=int, default=96)
+    q.add_argument("--n", type=_positive_int, default=96)
     q.set_defaults(func=cmd_charge)
 
     q = sub.add_parser("profile", help="dilation profile table (CSV)")
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--lambda-grid", required=True, metavar="A:B:N",
                    help="geometric grid of dilation parameters")
-    q.add_argument("--n", type=int, default=96)
+    q.add_argument("--n", type=_positive_int, default=96)
     q.add_argument("--output", help="CSV path (default: stdout)")
     q.set_defaults(func=cmd_profile)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import quat, sphere, fields
-from .sphere import RadialGrid, pairwise_sum
+from .sphere import RadialGrid, _doubling, pairwise_sum
 
 BASIC_YM_ALPHA = lambda alpha: 6.0 ** alpha * (4.0 / 3.0) * np.pi ** 2
 
@@ -41,12 +41,6 @@ def _radial_density(model, grid):
     return f_norm2_g(model, grid.axis_points())
 
 
-def _doubling(fn, n):
-    """Evaluate fn on grids n and 2n; return (value, residual estimate)."""
-    a, b = fn(RadialGrid(n)), fn(RadialGrid(2 * n))
-    return b, abs(b - a)
-
-
 def _report(value, residual, alpha, lam, grid):
     return EnergyReport(float(value), float(alpha), float(lam),
                         float(residual), grid)
@@ -67,7 +61,8 @@ def ym_energy(model, n=96):
                        "lattice%d" % model.lattice.n)
     if isinstance(model, fields.Adhm) and not model.is_radial:
         # |F|^2_g dV_g = |F|^2 dzeta: translation/scale invariant flat measure
-        def val(g):
+        def val(m):
+            g = RadialGrid(m)
             pts = g.axis_points(center=model.xi, scale=model.lam)
             f2 = sphere.f_norm2_coord(model.curvature(pts))
             return 0.5 * model.lam ** 4 * g.integrate_flat(f2)
@@ -76,7 +71,8 @@ def ym_energy(model, n=96):
     if not model.is_radial:
         raise ValueError("no quadrature route for this model; sample to a lattice")
 
-    def val(g):
+    def val(m):
+        g = RadialGrid(m)
         return 0.5 * g.integrate_round(_radial_density(model, g))
     v, res = _doubling(val, n)
     return _report(v, res, 1.0, 1.0, "radial%d" % (2 * n))
@@ -93,7 +89,8 @@ def ym_alpha(model, alpha, n=96):
     if not model.is_radial:
         raise ValueError("no quadrature route for this model; sample to a lattice")
 
-    def val(g):
+    def val(m):
+        g = RadialGrid(m)
         return 0.5 * g.integrate_round((3.0 + _radial_density(model, g)) ** alpha)
     v, res = _doubling(val, n)
     return _report(v, res, alpha, 1.0, "radial%d" % (2 * n))
@@ -111,7 +108,8 @@ def ym_alpha_lambda(model, alpha, lam, n=96):
     if not model.is_radial:
         raise ValueError("no quadrature route for this model; sample to a lattice")
 
-    def val(g):
+    def val(m):
+        g = RadialGrid(m)
         chi = sphere.chi_lambda(g.axis_points(), lam)
         dens = _radial_density(model, g)
         return 0.5 * g.integrate_round((3.0 + chi * dens) ** alpha / chi)
@@ -152,10 +150,9 @@ def topological_charge(model, n=96, density=charge_density_coord):
     else:
         raise ValueError("no quadrature route for this model; sample to a lattice")
 
-    def val(g):
-        pts = g.axis_points(center=center, scale=scale)
-        return scale ** 4 * g.integrate_flat(density(model.curvature(pts)))
-    v, res = _doubling(val, n)
+    g = RadialGrid(2 * n)
+    pts = g.axis_points(center=center, scale=scale)
+    v = scale ** 4 * g.integrate_flat(density(model.curvature(pts)))
     return v / (8.0 * np.pi ** 2)
 
 
@@ -166,9 +163,8 @@ def lp_curvature_norm(model, p, n=96):
     if not model.is_radial:
         raise ValueError("radial route only")
 
-    def val(g):
-        return g.integrate_round(_radial_density(model, g) ** (p / 2.0))
-    v, _ = _doubling(val, n)
+    g = RadialGrid(2 * n)
+    v = g.integrate_round(_radial_density(model, g) ** (p / 2.0))
     return v ** (1.0 / p)
 
 
@@ -177,12 +173,11 @@ def lp_difference_norm(model1, model2, p, n=96):
     if not (model1.is_radial and model2.is_radial):
         raise ValueError("radial route only")
 
-    def val(g):
-        pts = g.axis_points()
-        dF = model1.curvature(pts) - model2.curvature(pts)
-        d2 = sphere.f_norm2_coord(dF) * sphere.two_form_weight(pts)
-        return g.integrate_round(d2 ** (p / 2.0))
-    v, _ = _doubling(val, n)
+    g = RadialGrid(2 * n)
+    pts = g.axis_points()
+    dF = model1.curvature(pts) - model2.curvature(pts)
+    d2 = sphere.f_norm2_coord(dF) * sphere.two_form_weight(pts)
+    v = g.integrate_round(d2 ** (p / 2.0))
     return v ** (1.0 / p)
 
 

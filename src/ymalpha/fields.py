@@ -46,10 +46,6 @@ class ConnectionModel:
         """Default: second-order finite differences of the potential."""
         return curvature_fd(self, zeta, 1e-4)
 
-    def dpotential(self, zeta, h=1e-5):
-        """d_i Gamma_j, shape (N, 4, 4, 3); centered differences by default."""
-        return dpotential_fd(self, zeta, h)
-
 
 class FlatConnection(ConnectionModel):
     is_radial = True
@@ -58,9 +54,6 @@ class FlatConnection(ConnectionModel):
         return np.zeros(np.shape(zeta)[:-1] + (4, 3))
 
     def curvature(self, zeta):
-        return np.zeros(np.shape(zeta)[:-1] + (4, 4, 3))
-
-    def dpotential(self, zeta, h=1e-5):
         return np.zeros(np.shape(zeta)[:-1] + (4, 4, 3))
 
 
@@ -90,13 +83,6 @@ class Adhm(ConnectionModel):
         u = np.asarray(zeta, float) - self.xi
         c = self.lam ** 2 / (qnorm2(u) + self.lam ** 2) ** 2
         return 2.0 * c[..., None, None, None] * M_TENSOR
-
-    def dpotential(self, zeta, h=None):
-        u = np.asarray(zeta, float) - self.xi
-        den = qnorm2(u) + self.lam ** 2
-        v = v_field(u)
-        d = (-2.0 / den ** 2)[..., None, None, None] * u[..., :, None, None] * v[..., None, :, :]
-        return d + M_TENSOR / den[..., None, None, None]
 
 
 def basic_connection():
@@ -128,12 +114,6 @@ class RadialProfile(ConnectionModel):
         vals = np.concatenate([g, [1.0]])
         self._spl = CubicSpline(knots, vals)
         self._dspl = self._spl.derivative()
-
-    @classmethod
-    def from_function(cls, f, grid=None):
-        grid = grid or RadialGrid(64)
-        s = grid.s
-        return cls(grid.theta, (1.0 + s) * np.asarray(f(s), float))
 
     @classmethod
     def basic(cls, grid=None):
@@ -171,15 +151,6 @@ class RadialProfile(ConnectionModel):
         t1 = 2.0 * (fp + f ** 2)
         t2 = 2.0 * f * (1.0 - s * f)
         return t1[..., None, None, None] * asym + t2[..., None, None, None] * M_TENSOR
-
-    def dpotential(self, zeta, h=None):
-        zeta = np.asarray(zeta, float)
-        s = np.maximum(qnorm2(zeta), 1e-14)
-        f, sfp = self.f_sfp(s)
-        fp = sfp / s
-        v = v_field(zeta)
-        d = 2.0 * fp[..., None, None, None] * zeta[..., :, None, None] * v[..., None, :, :]
-        return d + f[..., None, None, None] * M_TENSOR
 
 
 class AnalyticGauge:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import sphere, fields, energy
+from . import sphere, energy
 from .energy import BASIC_YM_ALPHA
-from .sphere import pairwise_sum
+from .sphere import _doubling, gauss_legendre, pairwise_sum
 
 LAMBDA_OVERFLOW = 1.0e6
 
@@ -60,25 +60,10 @@ class ChiNormReport:
     ratio_log: float
     ratio_sqrtlog: float
 
-    def to_json(self):
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        return json.dumps(d, indent=1, sort_keys=True)
-
 
 # ---------------------------------------------------------------------------
 # quadrature helpers
 # ---------------------------------------------------------------------------
-
-def _gl(n, a, b):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
-
-
-def _doubling(fn, n):
-    a, b = fn(n), fn(2 * n)
-    return b, abs(b - a)
-
 
 def _logcosh(x):
     x = np.abs(x)
@@ -111,7 +96,7 @@ def _check_al(alpha, lam):
 def _radial_route(alpha, lam, n):
     # E = 16 3^a pi^2 int (1 + lam^4 (1+r^2)^4/(1+lam^2 r^2)^4)^a r^3/(1+r^2)^4 dr
     def val(m):
-        th, w = _gl(m, 0.0, np.pi)
+        th, w = gauss_legendre(m, 0.0, np.pi)
         r = np.tan(0.5 * th)
         s = r * r
         w4 = (lam * (1.0 + s) / (1.0 + lam ** 2 * s)) ** 4
@@ -123,7 +108,7 @@ def _radial_route(alpha, lam, n):
 def _w_route(alpha, lam, n):
     # E = 8 pi^2 3^a (lam - 1/lam)^-3 int_{1/lam}^lam (1+w^4)^a (lam-w)(w-1/lam) w^-4 dw
     def val(m):
-        w, wt = _gl(m, 1.0 / lam, lam)
+        w, wt = gauss_legendre(m, 1.0 / lam, lam)
         f = (1.0 + w ** 4) ** alpha * (lam - w) * (w - 1.0 / lam) / w ** 4
         return 8.0 * np.pi ** 2 * 3.0 ** alpha / (lam - 1.0 / lam) ** 3 \
             * pairwise_sum(f * wt)
@@ -162,7 +147,7 @@ def pullback_energy(alpha, lam, route="radial", n=96, with_residual=False):
 
 def _G_tau(tau, beta, n):
     """G as a function of tau = log(lam): 3 sinh(tau)^-3 times the t-integral."""
-    t, w = _gl(n, 0.0, tau)
+    t, w = gauss_legendre(n, 0.0, tau)
     if tau <= 30.0:
         f = np.cosh(2.0 * t) ** (1.0 + beta) * np.cosh(2.0 * beta * t) \
             * _coshdiff(tau, t)
@@ -200,7 +185,7 @@ def G_prime(sigma, beta, n=96, with_residual=False):
     alpha = 1.0 + beta
 
     def val(m):
-        t, w = _gl(m, 0.0, tau)
+        t, w = gauss_legendre(m, 0.0, tau)
         if tau <= 30.0:
             f = np.cosh(2.0 * t) ** (beta - 1.0) * np.sinh(2.0 * alpha * t) \
                 * np.sinh(t) * _coshdiff(tau, t) \
@@ -248,15 +233,11 @@ def dE_dloglambda_basic(alpha, lam, n=96):
     Direct mu(lam zeta)-weighted radial quadrature of the differentiated
     functional; cross-checks BASIC_YM_ALPHA * beta * G'(sigma)."""
     _check_al(alpha, lam)
-
-    def val(m):
-        g = sphere.RadialGrid(m)
-        pts = g.axis_points()
-        chi = sphere.chi_lambda(pts, lam)
-        mug = sphere.mu(lam * pts)
-        return _mu_weighted_derivative(np.full(m, 3.0), chi, mug, alpha, g)
-    v, _ = _doubling(val, n)
-    return v
+    g = sphere.RadialGrid(2 * n)
+    pts = g.axis_points()
+    chi = sphere.chi_lambda(pts, lam)
+    mug = sphere.mu(lam * pts)
+    return _mu_weighted_derivative(np.full(g.n, 3.0), chi, mug, alpha, g)
 
 
 def dE_dloglambda_general(model, alpha, lam, n=96):
@@ -264,40 +245,12 @@ def dE_dloglambda_general(model, alpha, lam, n=96):
     _check_al(alpha, lam)
     if not model.is_radial:
         raise ValueError("radial route only; sample to a lattice elsewhere")
-
-    def val(m):
-        g = sphere.RadialGrid(m)
-        pts = g.axis_points()
-        f2g = energy.f_norm2_g(model, pts)
-        chi = sphere.chi_lambda(pts, lam)
-        mug = sphere.mu(lam * pts)
-        return _mu_weighted_derivative(f2g, chi, mug, alpha, g)
-    v, _ = _doubling(val, n)
-    return v
-
-
-def derivative_gap_envelope(model, alpha, lam, n=96):
-    """The derivative-difference bound: returns (lhs, envelope).
-
-    lhs = d/dlog(lam)[E(basic)] - d/dlog(lam)[E(model)]; the envelope is
-    (a-1)(1+lam^{4a-4}) |dF|_2 (|F~|_2 + |F|_2)
-    + (a-1)^2 (1+lam^{4a-4}) (|F~|_q + |F|_q) |dF|_q |F|_q^{2a}, q = 2a+2.
-    The bound asserts lhs <= C * envelope for a fitted constant C."""
-    _check_al(alpha, lam)
-    basic = fields.Adhm()
-    lhs = dE_dloglambda_basic(alpha, lam, n=n) \
-        - dE_dloglambda_general(model, alpha, lam, n=n)
-    q = 2.0 * alpha + 2.0
-    growth = (1.0 + lam ** (4.0 * alpha - 4.0))
-    d2 = energy.lp_difference_norm(basic, model, 2.0, n=n)
-    n2b, n2m = energy.lp_curvature_norm(basic, 2.0, n=n), \
-        energy.lp_curvature_norm(model, 2.0, n=n)
-    dq = energy.lp_difference_norm(basic, model, q, n=n)
-    nqb, nqm = energy.lp_curvature_norm(basic, q, n=n), \
-        energy.lp_curvature_norm(model, q, n=n)
-    env = (alpha - 1.0) * growth * d2 * (n2b + n2m) \
-        + (alpha - 1.0) ** 2 * growth * (nqb + nqm) * dq * nqm ** (2.0 * alpha)
-    return lhs, env
+    g = sphere.RadialGrid(2 * n)
+    pts = g.axis_points()
+    f2g = energy.f_norm2_g(model, pts)
+    chi = sphere.chi_lambda(pts, lam)
+    mug = sphere.mu(lam * pts)
+    return _mu_weighted_derivative(f2g, chi, mug, alpha, g)
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +325,9 @@ def _d2logchi_dr2(r, lam):
 
 def _radial_integral(fn, n):
     """int_0^inf fn(r) dr via r = tan(theta/2), spectrally convergent."""
-    def val(m):
-        th, w = _gl(m, 0.0, np.pi)
-        r = np.tan(0.5 * th)
-        return pairwise_sum(fn(r) * 0.5 * (1.0 + r * r) * w)
-    v, _ = _doubling(val, n)
-    return v
+    th, w = gauss_legendre(2 * n, 0.0, np.pi)
+    r = np.tan(0.5 * th)
+    return pairwise_sum(fn(r) * 0.5 * (1.0 + r * r) * w)
 
 
 def chi_sobolev_norms(lam, n=96):

@@ -16,12 +16,6 @@ K = np.array([0.0, 0.0, 0.0, 1.0])
 E_BASIS = np.stack([ONE, I, J, K])
 
 
-def quat(w, x, y, z):
-    return np.stack(np.broadcast_arrays(
-        np.asarray(w, float), np.asarray(x, float),
-        np.asarray(y, float), np.asarray(z, float)), axis=-1)
-
-
 def qmul(a, b):
     """Hamilton product, vectorized over leading axes."""
     a = np.asarray(a, float)

@@ -166,6 +166,18 @@ def f_norm2_coord(F):
 # Quadrature grids
 # ---------------------------------------------------------------------------
 
+def gauss_legendre(n, a, b):
+    """n-point Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
+
+
+def _doubling(fn, n):
+    """Evaluate fn at n and 2n nodes; return (value, residual estimate)."""
+    a, b = fn(n), fn(2 * n)
+    return b, abs(b - a)
+
+
 class RadialGrid:
     """Gauss-Legendre grid in the geodesic polar angle theta in (0, pi).
 
@@ -173,10 +185,8 @@ class RadialGrid:
     """
 
     def __init__(self, n=64):
-        x, w = np.polynomial.legendre.leggauss(n)
         self.n = n
-        self.theta = 0.5 * np.pi * (x + 1.0)
-        self.wtheta = 0.5 * np.pi * w
+        self.theta, self.wtheta = gauss_legendre(n, 0.0, np.pi)
         self.r = np.tan(0.5 * self.theta)
         self.s = self.r ** 2
         # round-volume weights for radial functions of theta

@@ -1,5 +1,5 @@
 """First variation of the twisted alpha-energy, Jacobi operator, moduli
-kernel, polarization identities and Poincare/Morrey diagnostics.
+kernel, polarization identities and commutator bounds.
 
 All covariant operators act on orthonormal-frame components relative to the
 round frame e_a = w d/dzeta^a, w = (1+r^2)/2.  A 1-form Xi has frame
@@ -93,11 +93,6 @@ def dstar_F(model, zeta, h=FD_STEP):
 def dstar_oneform(fn, model, zeta, h=FD_STEP):
     """D*Xi = -sum_a (nabla_a Xi)_aa: ImQuaternion section."""
     return -np.einsum("...aam->...m", cov_oneform(fn, model, zeta, h))
-
-
-def dstar_twoform(fn, model, zeta, h=FD_STEP):
-    """(D*Omega)_b = -sum_a (nabla_a Omega)_ab for a 2-form field."""
-    return -np.einsum("...aabm->...bm", cov_twotensor(fn, model, zeta, h))
 
 
 def exterior_d(fn, model, zeta, h=FD_STEP):
@@ -263,10 +258,6 @@ class ModuliBasis:
         return out
 
 
-def kernel_project(xi_values, basis):
-    return basis.project(xi_values)
-
-
 # ---------------------------------------------------------------------------
 # polarization identities
 # ---------------------------------------------------------------------------
@@ -317,7 +308,7 @@ def polarization_residuals(c1, c2, zeta, h=FD_STEP):
 
 
 # ---------------------------------------------------------------------------
-# commutator bounds, Poincare ratios, Morrey norm
+# commutator bounds
 # ---------------------------------------------------------------------------
 
 # frame components of the basic curvature: F^_ab = (1/2) * pattern
@@ -350,49 +341,3 @@ def commutator_bound_check(A=None, B=None):
         ip = np.einsum("ijm,...ijm->...", F, comm)
         mB = float(np.max(ip - 4.0 * np.sum(B * B, axis=(-3, -2, -1))))
     return mA, mB
-
-
-def poincare_ratio(fn, lattice=None, h=FD_STEP):
-    """(|A| / |nabla~ A|, |nabla~ A| / |nabla~^2 A|) in L^2(dV_g).
-
-    fn: frame-component 1-form callable, compactly supported in the chart;
-    covariant derivatives use the basic connection."""
-    lat = lattice if lattice is not None else sphere.Lattice4D(3.0, 12)
-    basic = fields.Adhm()
-    pts = lat.points
-    a = fn(pts)
-    n0 = pairwise_sum(np.sum(a * a, axis=(-2, -1)) * lat.weights)
-    if n0 == 0.0:
-        raise ValueError("zero field")
-
-    def Tfn(q):
-        return cov_oneform(fn, basic, q, h)
-    T = Tfn(pts)
-    n1 = pairwise_sum(np.sum(T * T, axis=(-3, -2, -1)) * lat.weights)
-    S = cov_twotensor(Tfn, basic, pts, h)
-    n2 = pairwise_sum(np.sum(S * S, axis=(-4, -3, -2, -1)) * lat.weights)
-    return np.sqrt(n0 / n1), np.sqrt(n1 / n2)
-
-
-def geodesic_distance(zeta0, zeta):
-    """Round-metric geodesic distance between chart points (unit sphere)."""
-    d2 = np.sum((np.asarray(zeta, float) - np.asarray(zeta0, float)) ** 2,
-                axis=-1)
-    s = d2 / ((1.0 + sphere.r2(zeta)) * (1.0 + sphere.r2(zeta0)))
-    return 2.0 * np.arcsin(np.clip(np.sqrt(s), 0.0, 1.0))
-
-
-def morrey_norm(values, p, lam_exp, centers, radii, lattice):
-    """max over sampled (center, rho) of (rho^-lam_exp int_{B_rho} |u|^p)^{1/p}.
-
-    values: per-lattice-point |u| samples; balls are round geodesic balls."""
-    if p < 1 or lam_exp < 0:
-        raise ValueError("need p >= 1 and lam_exp >= 0")
-    vals = np.abs(np.asarray(values, float)).ravel() ** p
-    best = 0.0
-    for c in np.atleast_2d(np.asarray(centers, float)):
-        d = geodesic_distance(c, lattice.points)
-        for rho in np.atleast_1d(radii):
-            m = pairwise_sum(vals * lattice.weights * (d <= rho))
-            best = max(best, rho ** (-lam_exp) * m)
-    return best ** (1.0 / p)

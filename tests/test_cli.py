@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -44,6 +46,13 @@ def test_lambda_out_of_range():
 def test_bad_arguments_exit_usage():
     assert cli.main(["profile", "--alpha", "1.5", "--lambda-grid", "junk"]) == 2
     assert cli.main(["nonsense"]) == 2
+    assert cli.main(["energy", "--n", "0", "--alpha", "1.5"]) == 2
+    assert cli.main(["charge", "--n", "0"]) == 2
+    assert cli.main(["profile", "--alpha", "1.5", "--lambda-grid", "1:2:3",
+                     "--n", "0"]) == 2
+    assert cli.main(["charge", "--adhm", "0", "-1"]) == 2
+    # no alpha-energy route exists for an off-centre instanton
+    assert cli.main(["energy", "--alpha", "1.5", "--adhm", "0.5", "1"]) == 2
 
 
 def test_profile_csv(tmp_path):
@@ -94,6 +103,31 @@ def test_verify_unknown_key(tmp_path, capsys):
     cfgf = tmp_path / "bad.cfg"
     cfgf.write_text("not_a_real_key = 3\n")
     assert cli.main(["verify", "--config", str(cfgf)]) == 2
+
+
+@pytest.mark.parametrize("item", [
+    "radial_n=abc", "radial_n=96.5", "seed=1.5", "quad_rtol=tight",
+    "quad_rtol=0", "quad_rtol=-1e-8", "quad_rtol=nan", "flow_seeds=0",
+    "seed=-1",
+])
+def test_verify_rejects_bad_config_values(item, monkeypatch):
+    def run_suite(cfg, log=None):
+        raise AssertionError("the suite ran on an invalid config")
+    monkeypatch.setattr(verify, "run_suite", run_suite)
+    assert cli.main(["verify", "-o", item]) == 2
+
+
+def test_verify_accepts_int_for_float_key(tmp_path, monkeypatch):
+    seen = []
+
+    def run_suite(cfg, log=None):
+        seen.append(cfg)
+        return verify.VerificationReport(1, 0, cfg, [], True)
+    monkeypatch.setattr(verify, "run_suite", run_suite)
+    rc = cli.main(["verify", "-o", "quad_rtol=1", "-o", "seed=0",
+                   "--report", str(tmp_path / "r.json")])
+    assert rc == 0
+    assert seen == [{"quad_rtol": 1, "seed": 0}]
 
 
 def test_config_parsing(tmp_path):
@@ -158,7 +192,11 @@ def test_crashing_check_exits_one(tmp_path, monkeypatch, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same ymalpha as this process, installed or not
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-m", "ymalpha.cli", "--help"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0
     assert "verify" in out.stdout and "gaugefix" in out.stdout

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ymalpha import quat, sphere
+from ymalpha import energy, fields, profile, quat, sphere
 from ymalpha.sphere import RadialGrid, Lattice4D
 
 rng = np.random.default_rng(7)
@@ -107,6 +107,50 @@ def test_radial_grid_quadrature_exactness():
     ref = quad(lambda t: 2 * np.pi ** 2 * np.sin(t) ** 3 * np.cos(t / 2) ** 2,
                0, np.pi)[0]
     assert np.isclose(val, ref, rtol=1e-12)
+
+
+def test_radial_grid_uses_node_source():
+    for n in (7, 24, 96):
+        theta, w = sphere.gauss_legendre(n, 0.0, np.pi)
+        g = RadialGrid(n)
+        assert np.array_equal(g.theta, theta)
+        assert np.array_equal(g.wtheta, w)
+
+
+_PROF = fields.random_radial_profile(np.random.default_rng(5))
+_OFF = fields.Adhm(np.array([0.3, 0.1, 0.0, 0.0]), 1.2)
+
+# (caller at base size n, node counts it must request): callers that return
+# no residual evaluate the 2n grid only; a residual needs both grids
+_NODE_COUNTS = {
+    "topological_charge": (lambda n: energy.topological_charge(_OFF, n=n), [16]),
+    "lp_curvature_norm": (lambda n: energy.lp_curvature_norm(_PROF, 3.0, n=n),
+                          [16]),
+    "lp_difference_norm": (lambda n: energy.lp_difference_norm(
+        _PROF, fields.basic_connection(), 2.0, n=n), [16]),
+    "dE_dloglambda_basic": (lambda n: profile.dE_dloglambda_basic(1.4, 3.0, n=n),
+                            [16]),
+    "dE_dloglambda_general": (lambda n: profile.dE_dloglambda_general(
+        _PROF, 1.4, 3.0, n=n), [16]),
+    "chi_sobolev_norms": (lambda n: profile.chi_sobolev_norms(2.0, n=n),
+                          [16, 16, 16]),
+    "ym_alpha": (lambda n: energy.ym_alpha(_PROF, 1.4, n=n), [8, 16]),
+    "G_of_sigma": (lambda n: profile.G_of_sigma(0.5, 0.4, n=n), [8, 16]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NODE_COUNTS))
+def test_node_counts_per_caller(name, monkeypatch):
+    fn, want = _NODE_COUNTS[name]
+    sizes = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        sizes.append(n)
+        return leggauss(n)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    fn(8)
+    assert sizes == want
 
 
 def test_lattice_layout():

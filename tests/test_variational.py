@@ -108,11 +108,11 @@ def test_kernel_projection_idempotent():
     # projection onto the moduli span: idempotent and fixes the members
     basis = variational.ModuliBasis(Lattice4D(3.0, 12))
     vals = rng.normal(size=basis.values[0].shape)
-    p1 = variational.kernel_project(vals, basis)
-    p2 = variational.kernel_project(p1, basis)
+    p1 = basis.project(vals)
+    p2 = basis.project(p1)
     assert np.allclose(p1, p2, atol=1e-10)
     m = basis.values[2]
-    assert np.allclose(variational.kernel_project(m, basis), m, atol=1e-10)
+    assert np.allclose(basis.project(m), m, atol=1e-10)
 
 
 def test_polarization_residual_order():
