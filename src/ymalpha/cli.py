@@ -13,6 +13,7 @@ crashed; 2 invalid configuration or arguments.
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -20,6 +21,8 @@ import numpy as np
 from . import coulomb, energy, fields, flow, profile, sphere, verify
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+SEED_LIMIT = 2 ** 128          # Philox keys lie in [0, 2^128)
+LATTICE_KEYS = ("moduli_n", "coulomb_n", "z_n")   # points per lattice axis
 
 
 class UsageError(Exception):
@@ -71,15 +74,26 @@ def _check_range(name, value, lo, hi):
                          % (name, value, lo, hi))
 
 
-def _positive_int(text):
-    """argparse type for a count that must be >= 1."""
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("must be >= 1, got %d" % v)
-    return v
+def _arg_type(kind, ok, rule):
+    """argparse type: a value of `kind` for which ok(value) holds."""
+    def parse(text):
+        try:
+            v = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid %s value: %r"
+                                             % (kind.__name__, text))
+        if not ok(v):
+            raise argparse.ArgumentTypeError("must be %s, got %r" % (rule, text))
+        return v
+    return parse
+
+
+_positive_int = _arg_type(int, lambda v: v >= 1, ">= 1")
+_lattice_size = _arg_type(int, lambda v: v >= 2, ">= 2")
+_seed = _arg_type(int, lambda v: 0 <= v < SEED_LIMIT, "in [0, 2^128)")
+_finite = _arg_type(float, math.isfinite, "finite")
+_positive = _arg_type(float, lambda v: 0.0 < v < math.inf,
+                      "positive and finite")
 
 
 def _parse_grid(text):
@@ -87,16 +101,21 @@ def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError("grid must be start:stop:count, got %r" % text)
-    a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1 or a <= 0 or b < a:
-        raise UsageError("grid must satisfy 0 < start <= stop, count >= 1")
+    try:
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise UsageError("grid must be start:stop:count of numbers, got %r"
+                         % text)
+    if not (n >= 1 and 0 < a <= b < math.inf):
+        raise UsageError("grid must satisfy 0 < start <= stop < inf, "
+                         "count >= 1")
     return np.geomspace(a, b, n)
 
 
 def _check_config(cfg):
     """Each value must have the type of its verify.DEFAULTS entry (an int
-    passes for a float); the seed must be >= 0 and every count and
-    tolerance > 0."""
+    passes for a float); the seed must lie in [0, 2^128), every lattice size
+    be >= 2 and every other count and tolerance > 0."""
     unknown = set(cfg) - set(verify.DEFAULTS)
     if unknown:
         raise UsageError("unknown config keys: %s" % ", ".join(sorted(unknown)))
@@ -105,8 +124,11 @@ def _check_config(cfg):
         if not (type(v) is want or (want is float and type(v) is int)):
             raise UsageError("config value %s = %r must be of type %s"
                              % (key, v, want.__name__))
-        if key == "seed" and v < 0:
-            raise UsageError("config value seed = %d must be >= 0" % v)
+        if key == "seed" and not 0 <= v < SEED_LIMIT:
+            raise UsageError("config value seed = %d must lie in [0, 2^128)"
+                             % v)
+        if key in LATTICE_KEYS and v < 2:
+            raise UsageError("config value %s = %d must be >= 2" % (key, v))
         if key != "seed" and not v > 0:
             raise UsageError("config value %s = %r must be > 0" % (key, v))
 
@@ -246,14 +268,14 @@ def build_parser():
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0,
                    help="dilation twist parameter")
-    q.add_argument("--adhm", nargs=2, type=float, metavar=("XI", "SCALE"),
+    q.add_argument("--adhm", nargs=2, type=_finite, metavar=("XI", "SCALE"),
                    help="instanton center (first coordinate) and scale")
     q.add_argument("--n", type=_positive_int, default=96,
                    help="quadrature size")
     q.set_defaults(func=cmd_energy)
 
     q = sub.add_parser("charge", help="topological charge")
-    q.add_argument("--adhm", nargs=2, type=float, metavar=("XI", "SCALE"))
+    q.add_argument("--adhm", nargs=2, type=_finite, metavar=("XI", "SCALE"))
     q.add_argument("--n", type=_positive_int, default=96)
     q.set_defaults(func=cmd_charge)
 
@@ -268,19 +290,20 @@ def build_parser():
     q = sub.add_parser("flow", help="gradient flow from a seeded perturbation")
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
-    q.add_argument("--perturb", type=float, default=0.05,
+    q.add_argument("--perturb", type=_finite, default=0.05,
                    help="perturbation amplitude")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--max-steps", type=int, default=20000)
+    q.add_argument("--seed", type=_seed, default=0)
+    q.add_argument("--max-steps", type=_positive_int, default=20000)
     q.add_argument("--output", help="trajectory CSV path (default: stdout)")
     q.set_defaults(func=cmd_flow)
 
     q = sub.add_parser("gaugefix", help="project a seeded perturbation to "
                                         "the gauge slice")
-    q.add_argument("--perturb", type=float, default=0.05)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--tol", type=float, default=1e-8)
-    q.add_argument("--n", type=int, default=15, help="lattice points per axis")
+    q.add_argument("--perturb", type=_finite, default=0.05)
+    q.add_argument("--seed", type=_seed, default=0)
+    q.add_argument("--tol", type=_positive, default=1e-8)
+    q.add_argument("--n", type=_lattice_size, default=15,
+                   help="lattice points per axis")
     q.add_argument("--output", help="iteration log CSV path (default: stdout)")
     q.set_defaults(func=cmd_gaugefix)
     return p

@@ -23,8 +23,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from . import quat, sphere, fields
 from .quat import bracket, conjugate_im, exp_im, im_part, qconj, qmul
-from .energy import _central_diff
-from .sphere import ConformalMap, Lattice4D, pairwise_sum
+from .sphere import ConformalMap, Lattice4D, central_diff, pairwise_sum
 
 
 class CoulombError(RuntimeError):
@@ -55,7 +54,7 @@ class BasicChart:
         h = self.lat.h
         out = np.empty(self.lat.shape + (4, 3))
         for a in range(4):
-            out[..., a, :] = _central_diff(sig, a, h) \
+            out[..., a, :] = central_diff(sig, a, h) \
                 + bracket(self.gamma[..., a, :], sig)
         return out
 
@@ -69,7 +68,7 @@ class BasicChart:
         acc = np.zeros(self.lat.shape + (3,))
         for a in range(4):
             w = self.phi2[..., None] * ups[..., a, :]
-            acc -= _central_diff(w, a, h) + bracket(self.gamma[..., a, :], w)
+            acc -= central_diff(w, a, h) + bracket(self.gamma[..., a, :], w)
         return acc
 
     def laplace(self, sig):
@@ -160,7 +159,7 @@ def gauge_action_lattice(chart, sigma, pot):
     sc = qconj(s)
     out = conjugate_im(s[..., None, :], pot)
     for a in range(4):
-        ds = _central_diff(s1, a, chart.lat.h)
+        ds = central_diff(s1, a, chart.lat.h)
         out[..., a, :] += im_part(qmul(sc, ds))
     return out
 
@@ -181,17 +180,6 @@ class CoulombResult:
 
     def transform_values(self):
         return exp_im(self.sigma)
-
-    def gauge(self):
-        """Off-lattice gauge transform via a cubic interpolant of sigma."""
-        lat = self.lattice
-        itp = RegularGridInterpolator((lat.axis,) * 4, self.sigma,
-                                      method="cubic", bounds_error=False,
-                                      fill_value=0.0)
-
-        def sig(zeta):
-            return itp(np.asarray(zeta, float))
-        return fields.AnalyticGauge(sig)
 
     def write_log(self, path):
         with open(path, "w", newline="") as fh:
@@ -317,12 +305,11 @@ class ZReport:
     trace: list = field(default_factory=list)
 
 
-def _z_value(c, lam, xi, lat, tol, support_tol=0.2, sigma0=None):
+def _z_value(c, lam, xi, lat, tol, sigma0=None):
     cmap = ConformalMap(xi2=np.asarray(xi, float), lam=float(lam))
     pulled = fields.pullback(cmap, c)
-    res = coulomb_project(pulled, tol=tol, lattice=lat,
-                          support_tol=support_tol, cg_rtol=1.0e-8,
-                          sigma0=sigma0)
+    res = coulomb_project(pulled, tol=tol, lattice=lat, support_tol=0.2,
+                          cg_rtol=1.0e-8, sigma0=sigma0)
     ch = _chart(lat)
     zu = ch.oneform_norm(res.connection.values - ch.gamma) ** 2
     zf = curvature_distance(pulled, res) ** 2
@@ -330,10 +317,12 @@ def _z_value(c, lam, xi, lat, tol, support_tol=0.2, sigma0=None):
 
 
 def minimize_conformal_distance(c, lam_max=2.0, xi_max=0.5, lattice=None,
-                                tol=1.0e-6, n_lam=5, n_xi=1, support_tol=0.2):
+                                tol=1.0e-6):
     """Minimize Z = ||F_projected - F_basic||^2 + ||projected - basic||^2 over
     maps zeta -> xi + lam * zeta in the box lam in [1/lam_max, lam_max],
-    |xi| <= xi_max: coarse star-shaped grid, then Nelder-Mead on (log lam, xi).
+    |xi| <= xi_max: a coarse star-shaped grid (five dilations times the
+    centre and the eight points +-xi_max e_a), then Nelder-Mead on
+    (log lam, xi).
     Probes where the projection fails are skipped (recorded in the trace)."""
     lat = lattice or Lattice4D(3.0, 9)
     trace = []
@@ -341,8 +330,7 @@ def minimize_conformal_distance(c, lam_max=2.0, xi_max=0.5, lattice=None,
 
     def probe(lam, xi):
         try:
-            _, z, zf, zu, sig = _z_value(c, lam, xi, lat, tol, support_tol,
-                                         sigma0=warm[0])
+            _, z, zf, zu, sig = _z_value(c, lam, xi, lat, tol, sigma0=warm[0])
         except (CoulombError, ValueError) as err:
             trace.append((float(lam), tuple(np.asarray(xi, float)),
                           float("nan"), str(err)))
@@ -351,13 +339,12 @@ def minimize_conformal_distance(c, lam_max=2.0, xi_max=0.5, lattice=None,
         trace.append((float(lam), tuple(np.asarray(xi, float)), float(z), "ok"))
         return z
 
-    lams = np.geomspace(1.0 / lam_max, lam_max, n_lam)
+    lams = np.geomspace(1.0 / lam_max, lam_max, 5)
     offsets = [np.zeros(4)]
     for a in range(4):
-        for d in np.linspace(xi_max / n_xi, xi_max, n_xi):
-            e = np.zeros(4)
-            e[a] = d
-            offsets.extend([e, -e])
+        e = np.zeros(4)
+        e[a] = xi_max
+        offsets.extend([e, -e])
     best = (np.inf, 1.0, np.zeros(4))
     for lam in lams:
         for xi in offsets:
@@ -379,5 +366,5 @@ def minimize_conformal_distance(c, lam_max=2.0, xi_max=0.5, lattice=None,
                             "adaptive": True, "initial_simplex": simplex})
     lam = float(np.exp(np.clip(out.x[0], -np.log(lam_max), np.log(lam_max))))
     xi = np.clip(out.x[1:], -xi_max, xi_max)
-    cmap, z, zf, zu, _ = _z_value(c, lam, xi, lat, tol, support_tol)
+    cmap, z, zf, zu, _ = _z_value(c, lam, xi, lat, tol)
     return ZReport(cmap, float(z), float(zf), float(zu), trace)

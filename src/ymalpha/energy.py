@@ -36,29 +36,33 @@ def f_norm2_g(model, zeta):
     return sphere.f_norm2_coord(model.curvature(zeta)) * sphere.two_form_weight(zeta)
 
 
-def _radial_density(model, grid):
-    """|F|^2_g on the axis (valid for radially symmetric models)."""
-    return f_norm2_g(model, grid.axis_points())
-
-
 def _report(value, residual, alpha, lam, grid):
     return EnergyReport(float(value), float(alpha), float(lam),
                         float(residual), grid)
 
 
-def _lattice_f2g(model):
-    lat = model.lattice
-    F = lattice_curvature(model)
-    f2 = np.sum(F * F, axis=(-3, -2, -1)).ravel()
-    return f2 * sphere.two_form_weight(lat.points)
+def _integrate(model, integrand, alpha, lam, n):
+    """(1/2) int integrand(zeta, |F|^2_g) dV_g: the 4D sum on a lattice
+    field, else the doubled radial quadrature (on the axis) of a radially
+    symmetric model."""
+    def half(grid, pts):
+        return 0.5 * grid.integrate_round(integrand(pts, f_norm2_g(model, pts)))
+    if isinstance(model, fields.LatticeField):
+        lat = model.lattice
+        v = half(lat, lat.points)
+        return _report(v, abs(v) * lat.h ** 2, alpha, lam, "lattice%d" % lat.n)
+    if not model.is_radial:
+        raise ValueError("no quadrature route for this model; sample to a lattice")
+
+    def val(m):
+        g = RadialGrid(m)
+        return half(g, g.axis_points())
+    v, res = _doubling(val, n)
+    return _report(v, res, alpha, lam, "radial%d" % (2 * n))
 
 
 def ym_energy(model, n=96):
     """(1/2) int |F|^2_g dV_g."""
-    if isinstance(model, fields.LatticeField):
-        v = 0.5 * model.lattice.integrate_round(_lattice_f2g(model))
-        return _report(v, abs(v) * model.lattice.h ** 2, 1.0, 1.0,
-                       "lattice%d" % model.lattice.n)
     if isinstance(model, fields.Adhm) and not model.is_radial:
         # |F|^2_g dV_g = |F|^2 dzeta: translation/scale invariant flat measure
         def val(m):
@@ -68,53 +72,23 @@ def ym_energy(model, n=96):
             return 0.5 * model.lam ** 4 * g.integrate_flat(f2)
         v, res = _doubling(val, n)
         return _report(v, res, 1.0, 1.0, "radial%d@xi" % (2 * n))
-    if not model.is_radial:
-        raise ValueError("no quadrature route for this model; sample to a lattice")
-
-    def val(m):
-        g = RadialGrid(m)
-        return 0.5 * g.integrate_round(_radial_density(model, g))
-    v, res = _doubling(val, n)
-    return _report(v, res, 1.0, 1.0, "radial%d" % (2 * n))
+    return _integrate(model, lambda zeta, f2: f2, 1.0, 1.0, n)
 
 
 def ym_alpha(model, alpha, n=96):
-    """(1/2) int (3 + |F|^2_g)^alpha dV_g."""
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    if isinstance(model, fields.LatticeField):
-        lat = model.lattice
-        v = 0.5 * lat.integrate_round((3.0 + _lattice_f2g(model)) ** alpha)
-        return _report(v, abs(v) * lat.h ** 2, alpha, 1.0, "lattice%d" % lat.n)
-    if not model.is_radial:
-        raise ValueError("no quadrature route for this model; sample to a lattice")
-
-    def val(m):
-        g = RadialGrid(m)
-        return 0.5 * g.integrate_round((3.0 + _radial_density(model, g)) ** alpha)
-    v, res = _doubling(val, n)
-    return _report(v, res, alpha, 1.0, "radial%d" % (2 * n))
+    """(1/2) int (3 + |F|^2_g)^alpha dV_g; chi_1 = 1 exactly."""
+    return ym_alpha_lambda(model, alpha, 1.0, n)
 
 
 def ym_alpha_lambda(model, alpha, lam, n=96):
     """(1/2) int (3 + chi_lam |F|^2_g)^alpha chi_lam^{-1} dV_g."""
     if alpha < 1 or lam <= 0:
         raise ValueError("need alpha >= 1 and lambda > 0")
-    if isinstance(model, fields.LatticeField):
-        lat = model.lattice
-        chi = sphere.chi_lambda(lat.points, lam)
-        v = 0.5 * lat.integrate_round((3.0 + chi * _lattice_f2g(model)) ** alpha / chi)
-        return _report(v, abs(v) * lat.h ** 2, alpha, lam, "lattice%d" % lat.n)
-    if not model.is_radial:
-        raise ValueError("no quadrature route for this model; sample to a lattice")
 
-    def val(m):
-        g = RadialGrid(m)
-        chi = sphere.chi_lambda(g.axis_points(), lam)
-        dens = _radial_density(model, g)
-        return 0.5 * g.integrate_round((3.0 + chi * dens) ** alpha / chi)
-    v, res = _doubling(val, n)
-    return _report(v, res, alpha, lam, "radial%d" % (2 * n))
+    def dens(zeta, f2):
+        chi = sphere.chi_lambda(zeta, lam)
+        return (3.0 + chi * f2) ** alpha / chi
+    return _integrate(model, dens, alpha, lam, n)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +114,8 @@ def topological_charge(model, n=96, density=charge_density_coord):
     """(1/8 pi^2) int (|F-|^2 - |F+|^2) dzeta (conformal weights cancel)."""
     if isinstance(model, fields.LatticeField):
         lat = model.lattice
-        q = density(lattice_curvature(model).reshape(-1, 4, 4, 3))
-        v = pairwise_sum(q * lat.h ** 4) / (8.0 * np.pi ** 2)
-        return v
+        q = density(model.curvature(lat.points))
+        return pairwise_sum(q * lat.h ** 4) / (8.0 * np.pi ** 2)
     if isinstance(model, fields.Adhm):
         center, scale = model.xi, model.lam
     elif model.is_radial:
@@ -160,12 +133,7 @@ def lp_curvature_norm(model, p, n=96):
     """(int |F|^p_g dV_g)^{1/p} for radially symmetric models."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if not model.is_radial:
-        raise ValueError("radial route only")
-
-    g = RadialGrid(2 * n)
-    v = g.integrate_round(_radial_density(model, g) ** (p / 2.0))
-    return v ** (1.0 / p)
+    return lp_difference_norm(model, fields.FlatConnection(), p, n)
 
 
 def lp_difference_norm(model1, model2, p, n=96):
@@ -179,35 +147,3 @@ def lp_difference_norm(model1, model2, p, n=96):
     d2 = sphere.f_norm2_coord(dF) * sphere.two_form_weight(pts)
     v = g.integrate_round(d2 ** (p / 2.0))
     return v ** (1.0 / p)
-
-
-def lattice_curvature(model):
-    """Centered-difference curvature of a LatticeField on its own grid."""
-    lat = model.lattice
-    A = model.values  # (n,n,n,n,4,3)
-    dA = np.empty(lat.shape + (4, 4, 3))
-    for a in range(4):
-        dA[..., a, :, :] = _central_diff(A, a, lat.h)
-    F = dA - np.swapaxes(dA, -3, -2)
-    for i in range(4):
-        for j in range(4):
-            F[..., i, j, :] += quat.bracket(A[..., i, :], A[..., j, :])
-    return F
-
-
-def _central_diff(A, axis, h):
-    """Centered difference with zero (Dirichlet) padding on the boundary."""
-    out = np.zeros_like(A)
-    src = [slice(None)] * A.ndim
-    lo, hi = [slice(None)] * A.ndim, [slice(None)] * A.ndim
-    lo[axis], hi[axis] = slice(0, -2), slice(2, None)
-    mid = [slice(None)] * A.ndim
-    mid[axis] = slice(1, -1)
-    out[tuple(mid)] = (A[tuple(hi)] - A[tuple(lo)]) / (2.0 * h)
-    first, second = [slice(None)] * A.ndim, [slice(None)] * A.ndim
-    first[axis], second[axis] = 0, 1
-    out[tuple(first)] = A[tuple(second)] / (2.0 * h)
-    last, prev = [slice(None)] * A.ndim, [slice(None)] * A.ndim
-    last[axis], prev[axis] = -1, -2
-    out[tuple(last)] = -A[tuple(prev)] / (2.0 * h)
-    return out

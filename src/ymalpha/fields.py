@@ -1,5 +1,6 @@
 """Connection models: instanton family, radial ansatz, gauge transforms,
-conformal pullbacks, lattice fields, and finite-difference curvature.
+conformal pullbacks, lattice fields, and the curvature formula
+F_ij = d_i A_j - d_j A_i + [A_i, A_j] with its finite-difference forms.
 
 All potentials are chart-coordinate 1-forms with values in Im H, evaluated in
 batches: potential(zeta) -> (N, 4, 3), curvature(zeta) -> (N, 4, 4, 3).
@@ -13,7 +14,7 @@ from scipy.interpolate import CubicSpline
 
 from . import quat, sphere
 from .quat import qmul, qconj, qnorm2, im_part, exp_im, conjugate_im
-from .sphere import Lattice4D, RadialGrid
+from .sphere import Lattice4D, RadialGrid, central_diff, partials
 
 
 def v_field(zeta):
@@ -43,8 +44,7 @@ class ConnectionModel:
         raise NotImplementedError
 
     def curvature(self, zeta):
-        """Default: second-order finite differences of the potential."""
-        return curvature_fd(self, zeta, 1e-4)
+        raise NotImplementedError
 
 
 class FlatConnection(ConnectionModel):
@@ -116,8 +116,8 @@ class RadialProfile(ConnectionModel):
         self._dspl = self._spl.derivative()
 
     @classmethod
-    def basic(cls, grid=None):
-        grid = grid or RadialGrid(64)
+    def basic(cls):
+        grid = RadialGrid(64)
         return cls(grid.theta, np.ones(grid.n))
 
     def _g_dg(self, s):
@@ -162,14 +162,8 @@ class AnalyticGauge:
     def value(self, zeta):
         return exp_im(self.sigma(np.asarray(zeta, float)))
 
-    def dvalue(self, zeta, h=1e-5):
-        zeta = np.asarray(zeta, float)
-        out = np.empty(zeta.shape[:-1] + (4, 4))
-        for a in range(4):
-            dz = np.zeros(4)
-            dz[a] = h
-            out[..., a, :] = (self.value(zeta + dz) - self.value(zeta - dz)) / (2 * h)
-        return out
+    def dvalue(self, zeta):
+        return partials(self.value, zeta, 1e-5)
 
 
 class ConstantGauge(AnalyticGauge):
@@ -179,7 +173,7 @@ class ConstantGauge(AnalyticGauge):
     def value(self, zeta):
         return np.broadcast_to(self.q0, np.shape(zeta)[:-1] + (4,)).copy()
 
-    def dvalue(self, zeta, h=1e-5):
+    def dvalue(self, zeta):
         return np.zeros(np.shape(zeta)[:-1] + (4, 4))
 
 
@@ -251,13 +245,21 @@ class LatticeField(ConnectionModel):
     def sample(cls, model, lattice):
         return cls(lattice, model.potential(lattice.points))
 
-    def potential(self, zeta):
-        # exact only at lattice nodes; locate by rounding
+    def _nodes(self, zeta):
+        """Grid index tuple of the lattice nodes nearest to zeta."""
         lat = self.lattice
         idx = np.rint((np.asarray(zeta, float) + lat.R) / lat.h).astype(int)
         if np.any(idx < 0) or np.any(idx >= lat.n):
             raise ValueError("point outside lattice")
-        return self.values[idx[..., 0], idx[..., 1], idx[..., 2], idx[..., 3]]
+        return idx[..., 0], idx[..., 1], idx[..., 2], idx[..., 3]
+
+    def potential(self, zeta):
+        # exact only at lattice nodes; locate by rounding
+        return self.values[self._nodes(zeta)]
+
+    def curvature(self, zeta):
+        """Node values of lattice_curvature at the nodes nearest to zeta."""
+        return lattice_curvature(self)[self._nodes(zeta)]
 
     def save(self, path):
         path = pathlib.Path(path)
@@ -284,9 +286,9 @@ def pullback(cmap, model):
     return Pulledback(model, cmap)
 
 
-def random_radial_profile(rng, grid=None, amp=0.25):
+def random_radial_profile(rng, amp=0.25):
     """Smooth random bump perturbation of the basic profile g = 1."""
-    grid = grid or RadialGrid(64)
+    grid = RadialGrid(64)
     g = np.ones(grid.n)
     for _ in range(rng.integers(1, 4)):
         a = amp * rng.uniform(-1.0, 1.0)
@@ -329,23 +331,22 @@ def random_connection(rng, amp=0.25):
     return base
 
 
+def curvature_from(A, dA):
+    """F_ij = dA_ij - dA_ji + [A_i, A_j] from potential values A (..., 4, 3)
+    and their partials dA (..., i, j, 3) = d_i A_j."""
+    return dA - np.swapaxes(dA, -3, -2) \
+        + quat.bracket(A[..., :, None, :], A[..., None, :, :])
+
+
 def curvature_fd(model, zeta, h=1e-3):
-    """Centered-difference curvature d_i G_j - d_j G_i + [G_i, G_j]."""
-    zeta = np.asarray(zeta, float)
-    dG = dpotential_fd(model, zeta, h)
-    g = model.potential(zeta)
-    comm = np.stack([[quat.bracket(g[..., i, :], g[..., j, :])
-                      for j in range(4)] for i in range(4)], axis=0)
-    comm = np.moveaxis(comm, (0, 1), (-3, -2))
-    return dG - np.swapaxes(dG, -3, -2) + comm
+    """Curvature from centred differences of the potential."""
+    return curvature_from(model.potential(zeta),
+                          partials(model.potential, zeta, h))
 
 
-def dpotential_fd(model, zeta, h=1e-3):
-    zeta = np.asarray(zeta, float)
-    out = np.empty(zeta.shape[:-1] + (4, 4, 3))
-    for a in range(4):
-        dz = np.zeros(4)
-        dz[a] = h
-        out[..., a, :, :] = (model.potential(zeta + dz)
-                             - model.potential(zeta - dz)) / (2 * h)
-    return out
+def lattice_curvature(model):
+    """Curvature of a LatticeField on its own grid (centred differences)."""
+    A = model.values  # (n,n,n,n,4,3)
+    dA = np.stack([central_diff(A, a, model.lattice.h) for a in range(4)],
+                  axis=-3)
+    return curvature_from(A, dA)

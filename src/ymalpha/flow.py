@@ -7,7 +7,7 @@ of the ansatz; its gradient in g is exact (spline differentiation matrix),
 so monotonicity checks are free of quadrature/differentiation mismatch.
 Time stepping is RK4 on the L^2 gradient flow with an energy line search.
 
-Knots outside s in [s_lo, s_hi] are pinned at g = 1: the L^2 metric mass
+Knots outside s in S_RANGE are pinned at g = 1: the L^2 metric mass
 (3s/4) dV degenerates at both chart ends while the energy sensitivity does
 not, so the unconstrained flow is arbitrarily stiff there (explicit rates
 grow like 1/s near the origin and like s near the pole).  Pinning the decay
@@ -25,6 +25,14 @@ from . import fields, energy
 from .sphere import RadialGrid, pairwise_sum
 
 
+S_RANGE = (0.1, 20.0)   # active window of s = |zeta|^2
+DT = 0.05               # initial step; steps never exceed 4 DT
+DT_MIN = 1.0e-10        # line search gives up below this step
+GRAD_TOL = 1.0e-6       # convergence: gradient norm at most this ...
+STALL_WINDOW = 100      # ... and dist_conn moved at most STALL_RTOL
+STALL_RTOL = 1.0e-8     #     (relative) over the last STALL_WINDOW steps
+
+
 class FlowError(RuntimeError):
     pass
 
@@ -33,13 +41,7 @@ class FlowError(RuntimeError):
 class FlowConfig:
     alpha: float = 1.1
     lam: float = 1.0
-    dt: float = 0.05
-    dt_min: float = 1.0e-10
     max_steps: int = 20000
-    grad_tol: float = 1.0e-6
-    stall_window: int = 100
-    stall_rtol: float = 1.0e-8
-    record_charge: bool = True
 
 
 @dataclass
@@ -64,14 +66,14 @@ class FlowResult:
 class RadialFlow:
     """Discretized energy, exact gradient and distances on one theta grid."""
 
-    def __init__(self, alpha, grid=None, s_range=(0.1, 20.0), lam=1.0):
+    def __init__(self, alpha, grid=None, lam=1.0):
         if alpha < 1 or lam <= 0:
             raise ValueError("need alpha >= 1 and lambda > 0")
         self.alpha = float(alpha)
         self.lam = float(lam)
         self.grid = grid or RadialGrid(64)
         g = self.grid
-        self.active = (g.s >= s_range[0]) & (g.s <= s_range[1])
+        self.active = (g.s >= S_RANGE[0]) & (g.s <= S_RANGE[1])
         self.s, self.r = g.s, g.r
         self.vol_w = g.vol_w
         self.W = (1.0 + self.s) ** 4 / 16.0        # 2-form weight at knots
@@ -171,29 +173,28 @@ def run_flow(profile, config=None):
         raise ValueError("profile must live on a RadialGrid theta grid")
     fl = RadialFlow(cfg.alpha, grid, lam=cfg.lam)
     g = profile.g.copy()         # knots outside the active window stay fixed
-    t, dt = 0.0, cfg.dt
+    t, dt = 0.0, DT
     e = fl.energy(g)
     traj, dists = [], []
     reason, converged = "max_steps reached", False
     steps = 0
     dt_bad = np.inf      # smallest dt ever rejected; stay clear of it
     for steps in range(1, cfg.max_steps + 1):
-        g, used, e, rejects = flow_step(fl, g, dt, cfg.dt_min, e)
+        g, used, e, rejects = flow_step(fl, g, dt, DT_MIN, e)
         t += used
         if rejects:
             dt_bad = min(dt_bad, used * 2.0)
-        dt = min(used * 1.25, 4.0 * cfg.dt, 0.75 * dt_bad)
+        dt = min(used * 1.25, 4.0 * DT, 0.75 * dt_bad)
         gn = fl.grad_norm(g)
         dc = fl.dist_conn(g)
-        ch = energy.topological_charge(fl.profile(g), n=48) \
-            if cfg.record_charge else float("nan")
+        ch = energy.topological_charge(fl.profile(g), n=48)
         traj.append((t, used, e, gn, dc, fl.dist_curv(g), ch))
         dists.append(dc)
         stable = False
-        if len(dists) > cfg.stall_window:
-            old = dists[-cfg.stall_window - 1]
-            stable = abs(dc - old) <= cfg.stall_rtol * max(abs(old), 1.0)
-        if gn <= cfg.grad_tol and stable:
+        if len(dists) > STALL_WINDOW:
+            old = dists[-STALL_WINDOW - 1]
+            stable = abs(dc - old) <= STALL_RTOL * max(abs(old), 1.0)
+        if gn <= GRAD_TOL and stable:
             reason, converged = "gradient below tolerance, distance stationary", True
             break
     return FlowResult(converged, reason, steps, fl.profile(g), float(e),
@@ -221,7 +222,7 @@ def discrete_minimizer(fl, g0=None):
     return out
 
 
-def random_flow_seed(rng, grid=None, amp=0.25, s_range=(0.1, 20.0)):
+def random_flow_seed(rng, grid=None, amp=0.25, s_range=S_RANGE):
     """Random smooth bump perturbation of g = 1 supported in the active
     window (smooth sin^2 taper to the pinned ends)."""
     grid = grid or RadialGrid(64)
@@ -239,17 +240,16 @@ def random_flow_seed(rng, grid=None, amp=0.25, s_range=(0.1, 20.0)):
     return fields.RadialProfile(th, g)
 
 
-def closure_check(profile, alpha, lattice=None):
+def closure_check(profile, alpha):
     """Relative L^2 size of the energy-gradient component leaving the radial
     ansatz, sampled on a coarse 4D lattice (the pointwise ansatz tangent is
     the v-field direction).  Must be small for the 1D flow to represent the
     full flow."""
     from . import sphere, variational
-    lat = lattice or sphere.Lattice4D(2.0, 8)
+    lat = sphere.Lattice4D(2.0, 8)
     pts = lat.points + 1e-3        # stay off the exact origin/axes
     G = variational.gradient_ym_alpha_lambda(profile, alpha, 1.0, pts, h=1e-4)
-    w = 0.5 * (1.0 + np.sum(pts ** 2, axis=-1))
-    vh = w[:, None, None] * fields.v_field(pts)
+    vh = sphere.frame_scale(pts)[:, None, None] * fields.v_field(pts)
     v2 = np.sum(vh * vh, axis=(-2, -1))
     coef = np.sum(G.total * vh, axis=(-2, -1)) / v2
     resid = G.total - coef[:, None, None] * vh

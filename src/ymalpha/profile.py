@@ -175,7 +175,7 @@ def G_of_sigma(sigma, beta, n=96, with_residual=False):
     return v
 
 
-def G_prime(sigma, beta, n=96, with_residual=False):
+def G_prime(sigma, beta, n=96):
     """dG/dsigma in the integrated-by-parts form (manifestly positive)."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
@@ -202,10 +202,7 @@ def G_prime(sigma, beta, n=96, with_residual=False):
             - 4.0 * _logsinh(tau)
         m2 = np.max(lf)
         return 6.0 * np.exp(m2) * pairwise_sum(np.exp(lf - m2) * w)
-    v, res = _doubling(val, n)
-    if with_residual:
-        return v, res
-    return v
+    return _doubling(val, n)[0]
 
 
 def gap(alpha, lam, n=96):

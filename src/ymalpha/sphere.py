@@ -218,6 +218,8 @@ class Lattice4D:
     def __init__(self, R=3.0, n=24):
         self.R = float(R)
         self.n = int(n)
+        if self.n < 2:
+            raise ValueError("a lattice needs n >= 2 points per axis")
         self.axis = np.linspace(-self.R, self.R, self.n)
         self.h = self.axis[1] - self.axis[0]
         g = np.meshgrid(self.axis, self.axis, self.axis, self.axis, indexing="ij")
@@ -232,6 +234,40 @@ class Lattice4D:
     def field(self, values, ncomp):
         """Reshape flat per-point values to the (n,n,n,n,ncomp) grid layout."""
         return np.asarray(values).reshape(self.shape + (ncomp,))
+
+
+# ---------------------------------------------------------------------------
+# Centred-difference stencils
+# ---------------------------------------------------------------------------
+
+def partials(fn, zeta, h):
+    """Chart partials d_a[fn] by centred differences; the derivative index is
+    inserted right after the point axes (scalar outputs get shape (..., 4))."""
+    zeta = np.asarray(zeta, float)
+    cols = []
+    for a in range(4):
+        e = np.zeros(4)
+        e[a] = h
+        cols.append((fn(zeta + e) - fn(zeta - e)) / (2.0 * h))
+    return np.stack(cols, axis=zeta.ndim - 1)
+
+
+def central_diff(A, axis, h):
+    """Centred difference of lattice values along one lattice axis, with zero
+    (Dirichlet) padding on the boundary."""
+    out = np.zeros_like(A)
+    lo, hi = [slice(None)] * A.ndim, [slice(None)] * A.ndim
+    lo[axis], hi[axis] = slice(0, -2), slice(2, None)
+    mid = [slice(None)] * A.ndim
+    mid[axis] = slice(1, -1)
+    out[tuple(mid)] = (A[tuple(hi)] - A[tuple(lo)]) / (2.0 * h)
+    first, second = [slice(None)] * A.ndim, [slice(None)] * A.ndim
+    first[axis], second[axis] = 0, 1
+    out[tuple(first)] = A[tuple(second)] / (2.0 * h)
+    last, prev = [slice(None)] * A.ndim, [slice(None)] * A.ndim
+    last[axis], prev[axis] = -1, -2
+    out[tuple(last)] = -A[tuple(prev)] / (2.0 * h)
+    return out
 
 
 def pairwise_sum(values):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import sphere, fields
 from .quat import bracket
-from .sphere import frame_scale, pairwise_sum
+from .sphere import frame_scale, pairwise_sum, partials
 
 FD_STEP = 1.0e-3
 
@@ -31,23 +31,11 @@ def frame_curvature(model, zeta):
     return frame_scale(zeta)[..., None, None, None] ** 2 * model.curvature(zeta)
 
 
-def _partials(fn, zeta, h):
-    """Chart partials d_a[fn]; the derivative index is inserted right after
-    the point axes (scalar outputs get shape (..., 4))."""
-    zeta = np.asarray(zeta, float)
-    cols = []
-    for a in range(4):
-        e = np.zeros(4)
-        e[a] = h
-        cols.append((fn(zeta + e) - fn(zeta - e)) / (2.0 * h))
-    return np.stack(cols, axis=zeta.ndim - 1)
-
-
 def cov_oneform(fn, model, zeta, h=FD_STEP):
     """(nabla_a Xi)_b for a frame-component field fn(zeta) -> (..., 4, 3)."""
     zeta = np.asarray(zeta, float)
     xi = fn(zeta)
-    d = _partials(fn, zeta, h)                      # (..., a, b, 3)
+    d = partials(fn, zeta, h)                       # (..., a, b, 3)
     w = frame_scale(zeta)[..., None, None, None]
     u = -zeta
     out = w * d
@@ -64,7 +52,7 @@ def cov_twotensor(fn, model, zeta, h=FD_STEP):
     """(nabla_a T)_bc for a frame-component field fn(zeta) -> (..., 4, 4, 3)."""
     zeta = np.asarray(zeta, float)
     T = fn(zeta)
-    d = _partials(fn, zeta, h)                      # (..., a, b, c, 3)
+    d = partials(fn, zeta, h)                       # (..., a, b, c, 3)
     w = frame_scale(zeta)[..., None, None, None, None]
     u = -zeta
     out = w * d
@@ -139,7 +127,7 @@ def gradient_ym_alpha_lambda(model, alpha, lam, zeta, h=FD_STEP):
     def f2fn(q):
         Fq = frame_curvature(model, q)
         return np.sum(Fq * Fq, axis=(-3, -2, -1))
-    ef2 = w[..., None] * _partials(f2fn, zeta, h)        # e_a(|F|^2_g)
+    ef2 = w[..., None] * partials(f2fn, zeta, h)         # e_a(|F|^2_g)
     elog = w[..., None] * _dlogchi(zeta, lam)            # e_a(log chi)
     coef = (alpha - 1.0) * chi / denom
     th1 = -coef[..., None, None] * np.einsum("...a,...abm->...bm", ef2, Fh)
@@ -181,7 +169,7 @@ def jacobi_apply(model, xi_fn, zeta, h=FD_STEP, form=1):
         def div(q):
             return dstar_oneform(xi_fn, model, q, h)
         w = frame_scale(zeta)[..., None, None]
-        dd = w * _partials(div, zeta, h)
+        dd = w * partials(div, zeta, h)
         dd += bracket(frame_potential(model, zeta), div(zeta)[..., None, :])
         return lap + dd - 3.0 * xi - 2.0 * fxi
     raise ValueError("form must be 1 or 2")
@@ -191,19 +179,20 @@ def jacobi_apply(model, xi_fn, zeta, h=FD_STEP, form=1):
 # moduli directions and kernel projection
 # ---------------------------------------------------------------------------
 
-def _family_direction(k, step=FD_STEP):
+def _family_direction(k):
     """Centered difference of the instanton family at (xi=0, lam=1).
 
     k = 0: d/dlam; k = 1..4: d/dxi^{k-1}.  Coordinate-component callable."""
     if k == 0:
-        plus, minus = fields.Adhm(lam=1.0 + step), fields.Adhm(lam=1.0 - step)
+        plus = fields.Adhm(lam=1.0 + FD_STEP)
+        minus = fields.Adhm(lam=1.0 - FD_STEP)
     else:
         e = np.zeros(4)
-        e[k - 1] = step
+        e[k - 1] = FD_STEP
         plus, minus = fields.Adhm(xi=e), fields.Adhm(xi=-e)
 
     def fn(zeta):
-        return (plus.potential(zeta) - minus.potential(zeta)) / (2.0 * step)
+        return (plus.potential(zeta) - minus.potential(zeta)) / (2.0 * FD_STEP)
     return fn
 
 
@@ -214,9 +203,9 @@ class ModuliBasis:
     differences of the family at (xi=0, lam=1), then Gram-Schmidt in
     L^2(dV_g).  Frame components throughout."""
 
-    def __init__(self, lattice=None, step=FD_STEP):
+    def __init__(self, lattice=None):
         self.lattice = lattice if lattice is not None else sphere.Lattice4D(3.0, 12)
-        self._raw = [_family_direction(k, step) for k in range(5)]
+        self._raw = [_family_direction(k) for k in range(5)]
         pts = self.lattice.points
         vals = [frame_scale(pts)[:, None, None] * f(pts) for f in self._raw]
         self.coeffs = np.zeros((5, 5))   # vals[i] = sum_j coeffs[i,j] ortho[j]
@@ -276,13 +265,12 @@ def polarization_residuals(c1, c2, zeta, h=FD_STEP):
     def ups(q):
         return c1.potential(q) - c2.potential(q)
 
-    # curvature polarization, coordinate components
-    dU = _partials(ups, zeta, h)              # (..., i, j, 3)
-    g2 = c2.potential(zeta)
+    # curvature polarization, coordinate components: the curvature formula
+    # with the c2-covariant partials of Upsilon in place of dA
     u = ups(zeta)
-    covU = dU + bracket(g2[..., :, None, :], u[..., None, :, :])
-    rhs = covU - np.swapaxes(covU, -3, -2) \
-        + bracket(u[..., :, None, :], u[..., None, :, :])
+    covU = partials(ups, zeta, h) \
+        + bracket(c2.potential(zeta)[..., :, None, :], u[..., None, :, :])
+    rhs = fields.curvature_from(u, covU)
     res_f = np.max(np.abs(c1.curvature(zeta) - c2.curvature(zeta) - rhs))
 
     # D*F polarization, frame components

@@ -53,6 +53,18 @@ def test_bad_arguments_exit_usage():
     assert cli.main(["charge", "--adhm", "0", "-1"]) == 2
     # no alpha-energy route exists for an off-centre instanton
     assert cli.main(["energy", "--alpha", "1.5", "--adhm", "0.5", "1"]) == 2
+    # each of these is refused before any work is done
+    for argv in (["gaugefix", "--n", "1"], ["gaugefix", "--n", "0"],
+                 ["gaugefix", "--seed", "-1"], ["gaugefix", "--tol", "-1"],
+                 ["gaugefix", "--perturb", "inf"],
+                 ["charge", "--adhm", "nan", "1"],
+                 ["energy", "--alpha", "1.5", "--adhm", "0", "inf"],
+                 ["flow", "--alpha", "1.1", "--seed", "-1"],
+                 ["flow", "--alpha", "1.1", "--perturb", "nan"],
+                 ["flow", "--alpha", "1.1", "--max-steps", "0"],
+                 ["profile", "--alpha", "1.5", "--lambda-grid", "1:2:nan"],
+                 ["profile", "--alpha", "1.5", "--lambda-grid", "1:inf:3"]):
+        assert cli.main(argv) == 2, argv
 
 
 def test_profile_csv(tmp_path):
@@ -108,7 +120,7 @@ def test_verify_unknown_key(tmp_path, capsys):
 @pytest.mark.parametrize("item", [
     "radial_n=abc", "radial_n=96.5", "seed=1.5", "quad_rtol=tight",
     "quad_rtol=0", "quad_rtol=-1e-8", "quad_rtol=nan", "flow_seeds=0",
-    "seed=-1",
+    "seed=-1", "seed=%d" % 2 ** 128, "moduli_n=1", "coulomb_n=1", "z_n=1",
 ])
 def test_verify_rejects_bad_config_values(item, monkeypatch):
     def run_suite(cfg, log=None):

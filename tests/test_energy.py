@@ -1,7 +1,9 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ymalpha import energy, fields, sphere
 from ymalpha.energy import BASIC_YM_ALPHA
@@ -101,9 +103,31 @@ def test_report_json():
 
 
 def test_no_route_for_nonradial_analytic():
-    g = fields.AnalyticGauge(fields.random_bump_sigma(rng))
-    m = fields.gauge_act(g, fields.basic_connection())
-    # a generic decorated model is not radial and must be sampled first
-    if not m.is_radial:
+    # off-centre models are not radial and must be sampled to a lattice first
+    b = fields.basic_connection()
+    for m in (fields.pullback(sphere.translation([0.3, 0.0, -0.2, 0.0]), b),
+              fields.Adhm(np.array([0.5, 0.0, 0.0, 0.0]), 1.0)):
+        assert not m.is_radial
         with pytest.raises(ValueError):
             energy.ym_alpha(m, 1.5)
+        with pytest.raises(ValueError):
+            energy.ym_alpha_lambda(m, 1.5, 2.0)
+
+
+def test_ym_alpha_is_twisted_energy_at_lambda_one():
+    radial = fields.random_connection(np.random.default_rng(1))
+    lattice = fields.LatticeField.sample(radial, Lattice4D(3.0, 9))
+    for m in (radial, lattice):
+        for alpha in (1.0, 1.4):
+            assert asdict(energy.ym_alpha(m, alpha)) \
+                == asdict(energy.ym_alpha_lambda(m, alpha, 1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(1.0, 2.0), lam=st.floats(1.0, 10.0))
+def test_ym_alpha_symmetric_under_inverse_dilation(alpha, lam):
+    b = fields.basic_connection()
+    up = energy.ym_alpha(fields.pullback(sphere.dilation(lam), b), alpha)
+    down = energy.ym_alpha(fields.pullback(sphere.dilation(1.0 / lam), b),
+                           alpha)
+    assert up.value == pytest.approx(down.value, rel=1e-8)

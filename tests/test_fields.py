@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ymalpha import fields, quat, sphere
+from ymalpha import energy, fields, quat, sphere
 from ymalpha.sphere import RadialGrid, Lattice4D
 
 rng = np.random.default_rng(11)
@@ -64,6 +66,24 @@ def test_pullback_dilation_curvature_norm():
     assert np.allclose(f2g, 3.0 / sphere.chi_lambda(pts, lam), rtol=1e-8)
 
 
+_unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(amp=arrays(float, 3, elements=_unit),
+       centre=arrays(float, 4, elements=_unit),
+       width=st.floats(0.2, 2.0), seed=st.integers(0, 2 ** 32 - 1),
+       pts=arrays(float, (8, 4), elements=st.floats(-3.0, 3.0)))
+def test_curvature_norm_gauge_invariant(amp, centre, width, seed, pts):
+    def sigma(zeta):
+        d2 = quat.qnorm2(np.asarray(zeta, float) - centre)
+        return np.exp(-d2 / width)[..., None] * amp
+    base = fields.random_connection(np.random.default_rng(seed))
+    gm = fields.gauge_act(fields.AnalyticGauge(sigma), base)
+    assert np.allclose(energy.f_norm2_g(gm, pts), energy.f_norm2_g(base, pts),
+                       rtol=1e-12, atol=0.0)
+
+
 def test_constant_gauge_trivial_on_flat():
     flat = fields.FlatConnection()
     g = fields.ConstantGauge(quat.exp_im(np.array([0.3, -0.2, 0.5])))
@@ -85,6 +105,20 @@ def test_lattice_field_roundtrip(tmp_path):
                        fields.basic_connection().potential(lat.points[123]))
     with pytest.raises(ValueError):
         lf.potential(np.array([5.0, 0, 0, 0]))
+
+
+def test_lattice_field_curvature():
+    # node values of lattice_curvature, which carries the differences of
+    # the potential (a nearest-node finite difference would drop them)
+    lat = Lattice4D(3.0, 13)
+    b = fields.basic_connection()
+    lf = fields.LatticeField.sample(b, lat)
+    F = lf.curvature(lat.points)
+    inner = np.all(np.abs(lat.points) < lat.R - 0.5 * lat.h, axis=-1)
+    err = np.max(np.abs(F - b.curvature(lat.points))[inner])
+    assert err < 0.5     # |F| reaches 2 at the origin; h = 0.5
+    assert np.array_equal(F, fields.lattice_curvature(lf).reshape(-1, 4, 4, 3))
+    assert np.array_equal(lf.curvature(lat.points[123]), F[123])
 
 
 def test_lattice_field_shape_validation():

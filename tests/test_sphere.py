@@ -160,6 +160,10 @@ def test_lattice_layout():
     grid = lat.field(lat.points, 4)
     assert grid.shape == (5, 5, 5, 5, 4)
     assert np.allclose(grid[0, 0, 0, 0], [-2, -2, -2, -2])
+    assert Lattice4D(3.0, 2).h == 6.0
+    for n in (1, 0):    # a lattice needs two points per axis
+        with pytest.raises(ValueError):
+            Lattice4D(3.0, n)
 
 
 def test_pairwise_sum_deterministic():
