@@ -11,6 +11,7 @@ crashed; 2 invalid configuration or arguments.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -23,6 +24,11 @@ from . import coulomb, energy, fields, flow, profile, sphere, verify
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 SEED_LIMIT = 2 ** 128          # Philox keys lie in [0, 2^128)
 LATTICE_KEYS = ("moduli_n", "coulomb_n", "z_n")   # points per lattice axis
+# --adhm values where energy and charge are accurate: a centred instanton's
+# alpha-energy within 3.2e-12 (relative) of the hyperbolic route, the charge
+# within 1e-11 of 1
+ADHM_SCALE = (1.0e-2, 1.0e2)
+ADHM_XI = 1.0e2
 
 
 class UsageError(Exception):
@@ -139,11 +145,23 @@ def _adhm_model(adhm):
     if adhm is None:
         return fields.basic_connection()
     x0, scale = adhm
-    if not scale > 0:
-        raise UsageError("--adhm SCALE must be positive, got %g" % scale)
+    _check_range("--adhm SCALE", scale, *ADHM_SCALE)
+    _check_range("--adhm |XI|", abs(x0), 0.0, ADHM_XI)
     xi = np.zeros(4)
     xi[0] = x0
     return fields.Adhm(xi if x0 != 0 else None, scale)
+
+
+def _open_output(path):
+    """Open an --output or --report destination for writing before any work
+    is done (stdout when no path is given); an unwritable path is a usage
+    error."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline="")
+    except OSError as err:
+        raise UsageError("cannot write %s: %s" % (path, err.strerror))
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +172,9 @@ def cmd_verify(args):
     cfg = read_config(args.config) if args.config else {}
     apply_overrides(cfg, args.override)
     _check_config(cfg)
-    report = verify.run_suite(cfg, log=lambda s: print(s, flush=True))
-    text = report.to_json()
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _open_output(args.report) as out:
+        report = verify.run_suite(cfg, log=lambda s: print(s, flush=True))
+        out.write(report.to_json() + "\n")
     n_ok = sum(c.passed for c in report.checks)
     print("%d/%d checks passed" % (n_ok, len(report.checks)))
     return EXIT_OK if report.all_pass else EXIT_FAIL
@@ -189,10 +203,9 @@ def cmd_profile(args):
     lams = _parse_grid(args.lambda_grid)
     _check_range("lambda", float(lams[0]), 1.0, 1.0e4)
     _check_range("lambda", float(lams[-1]), 1.0, 1.0e4)
-    rows = [profile.profile_point(args.alpha, float(lam), n=args.n)
-            for lam in lams]
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
+    with _open_output(args.output) as out:
+        rows = [profile.profile_point(args.alpha, float(lam), n=args.n)
+                for lam in lams]
         w = csv.writer(out)
         w.writerow(["alpha", "lambda", "tau", "sigma", "G", "Gprime",
                     "gap", "dE_dloglog", "residual"])
@@ -200,24 +213,19 @@ def cmd_profile(args):
             w.writerow(["%.17g" % x for x in
                         (p.alpha, p.lam, p.tau, p.sigma, p.G, p.Gprime,
                          p.gap, p.dE_dloglambda, p.residual)])
-    finally:
-        if args.output:
-            out.close()
     return EXIT_OK
 
 
 def cmd_flow(args):
     _check_range("alpha", args.alpha, 1.0, 2.0)
     _check_range("lambda", args.lam, 1.0, 1.0e4)
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
-    prof = flow.random_flow_seed(rng, amp=args.perturb)
-    cfg = flow.FlowConfig(alpha=args.alpha, lam=args.lam,
-                          max_steps=args.max_steps)
-    res = flow.run_flow(prof, cfg)
-    if args.output:
-        res.write_trajectory(args.output)
-    else:
-        res.write_trajectory("/dev/stdout")
+    with _open_output(args.output) as out:
+        rng = np.random.Generator(np.random.Philox(key=args.seed))
+        prof = flow.random_flow_seed(rng, amp=args.perturb)
+        cfg = flow.FlowConfig(alpha=args.alpha, lam=args.lam,
+                              max_steps=args.max_steps)
+        res = flow.run_flow(prof, cfg)
+        res.write_trajectory(out)
     print(json.dumps({"converged": res.converged, "reason": res.reason,
                       "steps": res.steps, "energy": res.energy,
                       "grad_norm": res.grad_norm}, indent=1, sort_keys=True),
@@ -226,18 +234,16 @@ def cmd_flow(args):
 
 
 def cmd_gaugefix(args):
-    rng = np.random.Generator(np.random.Philox(key=args.seed))
-    c = flow.random_flow_seed(rng, amp=args.perturb, s_range=(0.1, 5.0))
-    lat = sphere.Lattice4D(3.0, args.n)
-    try:
-        res = coulomb.coulomb_project(c, tol=args.tol, lattice=lat)
-    except coulomb.CoulombError as err:
-        print("gauge projection failed: %s" % err, file=sys.stderr)
-        return EXIT_FAIL
-    if args.output:
-        res.write_log(args.output)
-    else:
-        res.write_log("/dev/stdout")
+    with _open_output(args.output) as out:
+        rng = np.random.Generator(np.random.Philox(key=args.seed))
+        c = flow.random_flow_seed(rng, amp=args.perturb, s_range=(0.1, 5.0))
+        lat = sphere.Lattice4D(3.0, args.n)
+        try:
+            res = coulomb.coulomb_project(c, tol=args.tol, lattice=lat)
+        except coulomb.CoulombError as err:
+            print("gauge projection failed: %s" % err, file=sys.stderr)
+            return EXIT_FAIL
+        res.write_log(out)
     print(json.dumps({"converged": res.converged,
                       "residual": res.residuals[-1],
                       "outer_iterations": len(res.residuals),

@@ -181,13 +181,13 @@ class CoulombResult:
     def transform_values(self):
         return exp_im(self.sigma)
 
-    def write_log(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["outer_iter", "residual", "cg_iters", "sigma_sup_norm"])
-            for k, res in enumerate(self.residuals):
-                it = self.cg_iters[k] if k < len(self.cg_iters) else 0
-                w.writerow([k, "%.17g" % res, it, "%.17g" % self.sigma_sup[k]])
+    def write_log(self, fh):
+        """Write the iteration log as CSV to the open text file fh."""
+        w = csv.writer(fh)
+        w.writerow(["outer_iter", "residual", "cg_iters", "sigma_sup_norm"])
+        for k, res in enumerate(self.residuals):
+            it = self.cg_iters[k] if k < len(self.cg_iters) else 0
+            w.writerow([k, "%.17g" % res, it, "%.17g" % self.sigma_sup[k]])
 
 
 def coulomb_project(c, tol=1.0e-8, max_outer=30, lattice=None,
@@ -215,8 +215,8 @@ def coulomb_project(c, tol=1.0e-8, max_outer=30, lattice=None,
     prev = np.inf
     converged = False
     for _ in range(max_outer):
-        ups = gauge_action_lattice(ch, sigma, pot) - ch.gamma
-        rho = ch.divergence(ups)
+        act = gauge_action_lattice(ch, sigma, pot)
+        rho = ch.divergence(act - ch.gamma)
         res = ch.section_norm(rho)
         residuals.append(res)
         sups.append(float(np.max(np.sqrt(np.sum(sigma * sigma, axis=-1)))))
@@ -238,9 +238,8 @@ def coulomb_project(c, tol=1.0e-8, max_outer=30, lattice=None,
     if not converged:
         raise CoulombError("max-outer-exceeded: residual %.3g > tol %.3g "
                            "after %d iterations" % (residuals[-1], tol, max_outer))
-    proj = fields.LatticeField(lat, gauge_action_lattice(ch, sigma, pot))
-    return CoulombResult(sigma, proj, residuals, cg_iters, sups,
-                         damping, converged)
+    return CoulombResult(sigma, fields.LatticeField(lat, act), residuals,
+                         cg_iters, sups, damping, converged)
 
 
 def distance_to_basic(result):

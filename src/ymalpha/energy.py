@@ -136,10 +136,25 @@ def lp_curvature_norm(model, p, n=96):
     return lp_difference_norm(model, fields.FlatConnection(), p, n)
 
 
+def _ansatz(model):
+    """Curvature t1(s)(zeta^i v_j - zeta^j v_i) + t2(s) M_ij: a radial
+    profile or a centred instanton, undecorated."""
+    return isinstance(model, fields.RadialProfile) \
+        or (isinstance(model, fields.Adhm) and model.is_radial)
+
+
 def lp_difference_norm(model1, model2, p, n=96):
-    """L^p norm of F_{c1} - F_{c2} on a common radial grid."""
-    if not (model1.is_radial and model2.is_radial):
-        raise ValueError("radial route only")
+    """L^p norm of F_{c1} - F_{c2} on the radial grid along the zeta^0 ray.
+
+    Exact only where |F_{c1} - F_{c2}|_g is radially symmetric: a radial
+    model against a flat connection, or two ansatz models (their difference
+    is again of the ansatz form).  Other pairs raise ValueError."""
+    flat = fields.FlatConnection
+    if not ((isinstance(model1, flat) and model2.is_radial)
+            or (isinstance(model2, flat) and model1.is_radial)
+            or (_ansatz(model1) and _ansatz(model2))):
+        raise ValueError("radial route only: |F1 - F2| must be radially "
+                         "symmetric (a flat model or two ansatz models)")
 
     g = RadialGrid(2 * n)
     pts = g.axis_points()

@@ -212,9 +212,9 @@ class Pulledback(ConnectionModel):
 
     @property
     def is_radial(self):
-        centered = (np.all(self.cmap.xi1 == 0.0) and np.all(self.cmap.xi2 == 0.0)
-                    and self.cmap.eps == 0)
-        return self.base.is_radial and centered
+        centered = (np.all(self.cmap.xi1 == 0.0)
+                    and np.all(self.cmap.xi2 == 0.0))
+        return bool(self.base.is_radial and centered)
 
     def potential(self, zeta):
         zeta = np.asarray(zeta, float)

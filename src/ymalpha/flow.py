@@ -54,13 +54,13 @@ class FlowResult:
     grad_norm: float
     trajectory: list = field(default_factory=list)
 
-    def write_trajectory(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "dt", "energy", "grad_norm",
-                        "dist_conn", "dist_curv", "charge"])
-            for row in self.trajectory:
-                w.writerow(["%.17g" % x for x in row])
+    def write_trajectory(self, fh):
+        """Write the trajectory as CSV to the open text file fh."""
+        w = csv.writer(fh)
+        w.writerow(["t", "dt", "energy", "grad_norm",
+                    "dist_conn", "dist_curv", "charge"])
+        for row in self.trajectory:
+            w.writerow(["%.17g" % x for x in row])
 
 
 class RadialFlow:
@@ -85,6 +85,7 @@ class RadialFlow:
         Dfull = spl.derivative()(g.theta)           # (n, n+1)
         self.D = Dfull[:, :-1]
         self.d0 = Dfull[:, -1]                      # pinned g(pi) = 1
+        self._pq0 = self._pq(np.ones(g.n))          # the basic connection
 
     def _pq(self, g):
         """P = s(f' + f^2), Q = f(1 - s f) at the knots; rho = 24 W ((P+Q)^2 + Q^2)."""
@@ -132,7 +133,7 @@ class RadialFlow:
     def dist_curv(self, g):
         """L^2 distance of the curvature to the basic curvature."""
         P1, Q1 = self._pq(g)
-        P0, Q0 = self._pq(np.ones_like(g))
+        P0, Q0 = self._pq0
         dP, dQ = P1 - P0, Q1 - Q0
         d2 = 24.0 * self.W * ((dP + dQ) ** 2 + dQ * dQ)
         return np.sqrt(pairwise_sum(self.vol_w * d2))
@@ -149,8 +150,8 @@ def flow_step(fl, g, dt, dt_min, e0=None):
     if e0 is None:
         e0 = fl.energy(g)
     rejects = 0
+    k1 = fl.velocity(g)
     while True:
-        k1 = fl.velocity(g)
         k2 = fl.velocity(g + 0.5 * dt * k1)
         k3 = fl.velocity(g + 0.5 * dt * k2)
         k4 = fl.velocity(g + dt * k3)

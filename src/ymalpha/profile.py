@@ -93,52 +93,54 @@ def _check_al(alpha, lam):
 # pullback energy: three routes
 # ---------------------------------------------------------------------------
 
-def _radial_route(alpha, lam, n):
+def _radial_route(alpha, lam, m):
     # E = 16 3^a pi^2 int (1 + lam^4 (1+r^2)^4/(1+lam^2 r^2)^4)^a r^3/(1+r^2)^4 dr
-    def val(m):
-        th, w = gauss_legendre(m, 0.0, np.pi)
-        r = np.tan(0.5 * th)
-        s = r * r
-        w4 = (lam * (1.0 + s) / (1.0 + lam ** 2 * s)) ** 4
-        f = (1.0 + w4) ** alpha * r ** 3 / (1.0 + s) ** 4 * 0.5 * (1.0 + s)
-        return 16.0 * 3.0 ** alpha * np.pi ** 2 * pairwise_sum(f * w)
-    return _doubling(val, n)
+    th, w = gauss_legendre(m, 0.0, np.pi)
+    r = np.tan(0.5 * th)
+    s = r * r
+    w4 = (lam * (1.0 + s) / (1.0 + lam ** 2 * s)) ** 4
+    f = (1.0 + w4) ** alpha * r ** 3 / (1.0 + s) ** 4 * 0.5 * (1.0 + s)
+    return 16.0 * 3.0 ** alpha * np.pi ** 2 * pairwise_sum(f * w)
 
 
-def _w_route(alpha, lam, n):
+def _w_route(alpha, lam, m):
     # E = 8 pi^2 3^a (lam - 1/lam)^-3 int_{1/lam}^lam (1+w^4)^a (lam-w)(w-1/lam) w^-4 dw
-    def val(m):
-        w, wt = gauss_legendre(m, 1.0 / lam, lam)
-        f = (1.0 + w ** 4) ** alpha * (lam - w) * (w - 1.0 / lam) / w ** 4
-        return 8.0 * np.pi ** 2 * 3.0 ** alpha / (lam - 1.0 / lam) ** 3 \
-            * pairwise_sum(f * wt)
-    return _doubling(val, n)
+    w, wt = gauss_legendre(m, 1.0 / lam, lam)
+    f = (1.0 + w ** 4) ** alpha * (lam - w) * (w - 1.0 / lam) / w ** 4
+    return 8.0 * np.pi ** 2 * 3.0 ** alpha / (lam - 1.0 / lam) ** 3 \
+        * pairwise_sum(f * wt)
 
 
-def _hyperbolic_route(alpha, lam, n):
-    tau = np.log(lam)
-
-    def val(m):
-        return BASIC_YM_ALPHA(alpha) * _G_tau(tau, alpha - 1.0, m)
-    return _doubling(val, n)
+def _hyperbolic_route(alpha, lam, m):
+    return BASIC_YM_ALPHA(alpha) * _G_tau(np.log(lam), alpha - 1.0, m)
 
 
 _ROUTES = {"radial": _radial_route, "w-substitution": _w_route,
            "hyperbolic": _hyperbolic_route}
 
 
-def pullback_energy(alpha, lam, route="radial", n=96, with_residual=False):
-    """YM_alpha(lam*A) for the basic instanton by the named quadrature route."""
+def _value(rule, n, with_residual):
+    """rule at 2n nodes, with the doubling residual (against n nodes) only
+    on request."""
+    if with_residual:
+        return _doubling(rule, n)
+    return rule(2 * n)
+
+
+def pullback_energy(alpha, lam, route="hyperbolic", n=96, with_residual=False):
+    """YM_alpha(lam*A) for the basic instanton by the named quadrature route.
+
+    The hyperbolic route stays accurate at every accepted lambda; at n = 96
+    the radial route is off by percents from lambda = 1e3 on, and the
+    w-substitution route from lambda = 1e2 on when alpha is near 1."""
     _check_al(alpha, lam)
     if route not in _ROUTES:
         raise ValueError("route must be one of %s" % sorted(_ROUTES))
     if lam == 1.0:
-        v, res = BASIC_YM_ALPHA(alpha), 0.0
-    else:
-        v, res = _ROUTES[route](alpha, lam, n)
-    if with_residual:
-        return v, res
-    return v
+        v = BASIC_YM_ALPHA(alpha)
+        return (v, 0.0) if with_residual else v
+    rule = _ROUTES[route]
+    return _value(lambda m: rule(alpha, lam, m), n, with_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +169,8 @@ def G_of_sigma(sigma, beta, n=96, with_residual=False):
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
-        v, res = 1.0, 0.0
-    else:
-        v, res = _doubling(lambda m: _G_tau(sigma / beta, beta, m), n)
-    if with_residual:
-        return v, res
-    return v
+        return (1.0, 0.0) if with_residual else 1.0
+    return _value(lambda m: _G_tau(sigma / beta, beta, m), n, with_residual)
 
 
 def G_prime(sigma, beta, n=96):
@@ -183,26 +181,23 @@ def G_prime(sigma, beta, n=96):
         raise ValueError("sigma must be > 0")
     tau = sigma / beta
     alpha = 1.0 + beta
-
-    def val(m):
-        t, w = gauss_legendre(m, 0.0, tau)
-        if tau <= 30.0:
-            f = np.cosh(2.0 * t) ** (beta - 1.0) * np.sinh(2.0 * alpha * t) \
-                * np.sinh(t) * _coshdiff(tau, t) \
-                * (2.0 * np.cosh(tau) * np.cosh(t) - 1.0)
-            return 6.0 * pairwise_sum(f * w) / np.sinh(tau) ** 4
-        lf = np.full_like(t, -np.inf)
-        pos = t > 0.0
-        tp = t[pos]
-        lf[pos] = (beta - 1.0) * _logcosh(2.0 * tp) \
-            + _logsinh(2.0 * alpha * tp) + _logsinh(tp) \
-            + _logcosh(tau) + np.log1p(-np.exp(_logcosh(tp) - _logcosh(tau))) \
-            + np.log(2.0) + _logcosh(tau) + _logcosh(tp) \
-            + np.log1p(-np.exp(-np.log(2.0) - _logcosh(tau) - _logcosh(tp))) \
-            - 4.0 * _logsinh(tau)
-        m2 = np.max(lf)
-        return 6.0 * np.exp(m2) * pairwise_sum(np.exp(lf - m2) * w)
-    return _doubling(val, n)[0]
+    t, w = gauss_legendre(2 * n, 0.0, tau)
+    if tau <= 30.0:
+        f = np.cosh(2.0 * t) ** (beta - 1.0) * np.sinh(2.0 * alpha * t) \
+            * np.sinh(t) * _coshdiff(tau, t) \
+            * (2.0 * np.cosh(tau) * np.cosh(t) - 1.0)
+        return 6.0 * pairwise_sum(f * w) / np.sinh(tau) ** 4
+    lf = np.full_like(t, -np.inf)
+    pos = t > 0.0
+    tp = t[pos]
+    lf[pos] = (beta - 1.0) * _logcosh(2.0 * tp) \
+        + _logsinh(2.0 * alpha * tp) + _logsinh(tp) \
+        + _logcosh(tau) + np.log1p(-np.exp(_logcosh(tp) - _logcosh(tau))) \
+        + np.log(2.0) + _logcosh(tau) + _logcosh(tp) \
+        + np.log1p(-np.exp(-np.log(2.0) - _logcosh(tau) - _logcosh(tp))) \
+        - 4.0 * _logsinh(tau)
+    m = np.max(lf)
+    return 6.0 * np.exp(m) * pairwise_sum(np.exp(lf - m) * w)
 
 
 def gap(alpha, lam, n=96):

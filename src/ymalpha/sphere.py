@@ -62,57 +62,32 @@ def rotation_matrix(p, q):
 
 @dataclass(frozen=True)
 class ConformalMap:
-    """Conformal automorphism zeta -> xi2 + lam * rho(zeta - xi1)/|zeta - xi1|^eps.
+    """Conformal automorphism zeta -> xi2 + lam * rho(zeta - xi1).
 
-    rho is the rotation u -> p u conj(q); eps in {0, 2} (2 = inversion)."""
+    rho is the rotation u -> p u conj(q)."""
     xi1: np.ndarray = field(default_factory=lambda: np.zeros(4))
     xi2: np.ndarray = field(default_factory=lambda: np.zeros(4))
     lam: float = 1.0
     p: np.ndarray = field(default_factory=lambda: quat.ONE.copy())
     q: np.ndarray = field(default_factory=lambda: quat.ONE.copy())
-    eps: int = 0
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("dilation factor must be positive")
-        if self.eps not in (0, 2):
-            raise ValueError("eps must be 0 or 2")
 
     def apply(self, zeta):
         u = np.asarray(zeta, float) - self.xi1
-        ru = qmul(qmul(self.p, u), qconj(self.q))
-        if self.eps == 2:
-            n2 = qnorm2(u)
-            if np.any(n2 == 0.0):
-                raise ZeroDivisionError("conformal map pole hit at xi1")
-            ru = ru / n2[..., None]
-        return self.xi2 + self.lam * ru
+        return self.xi2 + self.lam * qmul(qmul(self.p, u), qconj(self.q))
 
     def jacobian(self, zeta):
         """J[..., i, j] = d phi^j / d zeta^i."""
-        u = np.asarray(zeta, float) - self.xi1
+        shape = np.shape(zeta)[:-1] + (4, 4)
         R = rotation_matrix(self.p, self.q)  # R[j, a]
-        if self.eps == 0:
-            J = np.broadcast_to(self.lam * R.T, u.shape[:-1] + (4, 4))
-            return np.array(J)
-        n2 = qnorm2(u)
-        if np.any(n2 == 0.0):
-            raise ZeroDivisionError("conformal map pole hit at xi1")
-        ru = qmul(qmul(self.p, u), qconj(self.q))
-        # d/du^i [ (R u)^j / |u|^2 ] = R[j,i]/|u|^2 - 2 u^i (R u)^j / |u|^4
-        J = (R.T[None] / n2[..., None, None]
-             - 2.0 * u[..., :, None] * ru[..., None, :] / (n2 ** 2)[..., None, None])
-        return self.lam * J
+        return np.array(np.broadcast_to(self.lam * R.T, shape))
 
     def inverse(self):
-        if self.eps == 2:
-            # (xi2 + lam rho(u)/|u|^2)^-1: invert via the same family
-            # zeta = xi1 + lam rho^{-1}(z - xi2)/|z - xi2|^2 using |rho(u)|=|u|
-            return ConformalMap(xi1=self.xi2, xi2=self.xi1, lam=self.lam,
-                                p=qconj(self.p), q=qconj(self.q), eps=2)
-        return ConformalMap(
-            xi1=self.xi2, xi2=self.xi1, lam=1.0 / self.lam,
-            p=qconj(self.p), q=qconj(self.q), eps=0)
+        return ConformalMap(xi1=self.xi2, xi2=self.xi1, lam=1.0 / self.lam,
+                            p=qconj(self.p), q=qconj(self.q))
 
 
 def dilation(lam):

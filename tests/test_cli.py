@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ymalpha import cli, verify
+from ymalpha import cli, coulomb, flow, profile, verify
 from ymalpha.energy import BASIC_YM_ALPHA
 
 # the cheap deterministic subset used for CLI-mechanics tests (the full
@@ -63,8 +63,49 @@ def test_bad_arguments_exit_usage():
                  ["flow", "--alpha", "1.1", "--perturb", "nan"],
                  ["flow", "--alpha", "1.1", "--max-steps", "0"],
                  ["profile", "--alpha", "1.5", "--lambda-grid", "1:2:nan"],
-                 ["profile", "--alpha", "1.5", "--lambda-grid", "1:inf:3"]):
+                 ["profile", "--alpha", "1.5", "--lambda-grid", "1:inf:3"],
+                 # --adhm outside SCALE in [1e-2, 1e2], |XI| <= 1e2, where
+                 # energy and charge are no longer accurate
+                 ["charge", "--adhm", "0", "1e200"],
+                 ["energy", "--alpha", "1.5", "--adhm", "0", "1e200"],
+                 ["charge", "--adhm", "0", "1e-200"],
+                 ["charge", "--adhm", "1e308", "1"],
+                 ["charge", "--adhm", "-1e3", "1"],
+                 ["energy", "--alpha", "1.5", "--adhm", "0", "10000"],
+                 ["energy", "--alpha", "1.5", "--adhm", "0", "0.009"]):
         assert cli.main(argv) == 2, argv
+
+
+def test_adhm_range_ends_accepted(capsys):
+    for xi, scale in (("100", "0.01"), ("-100", "100")):
+        assert cli.main(["charge", "--adhm", xi, scale]) == 0
+        q = json.loads(capsys.readouterr().out)["charge"]
+        assert q == pytest.approx(1.0, abs=1e-11)
+    for scale in ("0.01", "100"):
+        assert cli.main(["energy", "--alpha", "1.5", "--adhm", "0",
+                         scale]) == 0
+        e = json.loads(capsys.readouterr().out)["value"]
+        assert e == pytest.approx(
+            profile.pullback_energy(1.5, 100.0, route="hyperbolic"),
+            rel=1e-11)
+
+
+@pytest.mark.parametrize("argv, owner, work", [
+    (["profile", "--alpha", "1.5", "--lambda-grid", "1:2:2",
+      "--output", "/nonexistent/x.csv"], profile, "profile_point"),
+    (["flow", "--alpha", "1.1", "--max-steps", "1",
+      "--output", "/nonexistent/x.csv"], flow, "run_flow"),
+    (["gaugefix", "--n", "5", "--output", "/nonexistent/x.csv"],
+     coulomb, "coulomb_project"),
+    (["verify", "--report", "/nonexistent/r.json"], verify, "run_suite"),
+], ids=["profile", "flow", "gaugefix", "verify"])
+def test_unwritable_output_exits_usage(argv, owner, work, monkeypatch,
+                                       capsys):
+    def stub(*args, **kwargs):
+        raise AssertionError("work ran before the output was opened")
+    monkeypatch.setattr(owner, work, stub)
+    assert cli.main(argv) == 2
+    assert "/nonexistent/" in capsys.readouterr().err
 
 
 def test_profile_csv(tmp_path):

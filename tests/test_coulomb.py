@@ -119,7 +119,8 @@ def test_write_log_schema(tmp_path):
                               s_range=(0.1, 5.0))
     res = coulomb.coulomb_project(c, tol=1e-7, lattice=LAT)
     p = tmp_path / "log.csv"
-    res.write_log(p)
+    with open(p, "w", newline="") as fh:
+        res.write_log(fh)
     lines = p.read_text().strip().split("\n")
     assert lines[0] == "outer_iter,residual,cg_iters,sigma_sup_norm"
     assert len(lines) == len(res.residuals) + 1

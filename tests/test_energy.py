@@ -84,6 +84,24 @@ def test_lp_norms():
     assert energy.lp_difference_norm(b, b, 2.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_lp_difference_needs_radial_difference():
+    b = fields.basic_connection()
+    prof = fields.random_radial_profile(np.random.default_rng(5))
+    # ansatz pairs and flat pairs keep a radially symmetric difference
+    assert energy.lp_difference_norm(prof, b, 2.0) > 0.0
+    assert energy.lp_difference_norm(fields.FlatConnection(), prof, 2.0) \
+        == energy.lp_curvature_norm(prof, 2.0)
+    # both radial, but |F1 - F2| differs from ray to ray (0.0369, 0.0422,
+    # 0.0568, 0.0100 along the four coordinate rays): no radial route
+    dec = fields.gauge_act(fields.AnalyticGauge(fields.random_bump_sigma(
+        np.random.default_rng(3), amp=0.5)), b)
+    assert dec.is_radial
+    off = fields.Adhm(np.array([0.5, 0.0, 0.0, 0.0]))
+    for pair in ((dec, b), (b, dec), (off, b)):
+        with pytest.raises(ValueError, match="radial"):
+            energy.lp_difference_norm(*pair, 2.0)
+
+
 def test_lattice_route_consistency():
     lat = Lattice4D(4.0, 17)
     lf = fields.LatticeField.sample(fields.basic_connection(), lat)

@@ -72,7 +72,8 @@ def test_trajectory_csv(tmp_path):
     prof = _small_seed(7)
     res = flow.run_flow(prof, flow.FlowConfig(alpha=1.1, max_steps=20))
     p = tmp_path / "traj.csv"
-    res.write_trajectory(p)
+    with open(p, "w", newline="") as fh:
+        res.write_trajectory(fh)
     lines = p.read_text().strip().split("\n")
     assert lines[0] == "t,dt,energy,grad_norm,dist_conn,dist_curv,charge"
     assert len(lines) == 21

@@ -135,8 +135,18 @@ _NODE_COUNTS = {
     "chi_sobolev_norms": (lambda n: profile.chi_sobolev_norms(2.0, n=n),
                           [16, 16, 16]),
     "ym_alpha": (lambda n: energy.ym_alpha(_PROF, 1.4, n=n), [8, 16]),
-    "G_of_sigma": (lambda n: profile.G_of_sigma(0.5, 0.4, n=n), [8, 16]),
+    "G_of_sigma": (lambda n: profile.G_of_sigma(0.5, 0.4, n=n), [16]),
+    "G_of_sigma residual": (lambda n: profile.G_of_sigma(
+        0.5, 0.4, n=n, with_residual=True), [8, 16]),
+    "G_prime": (lambda n: profile.G_prime(0.5, 0.4, n=n), [16]),
+    "gap": (lambda n: profile.gap(1.4, 3.0, n=n), [16]),
+    "pullback_energy residual": (lambda n: profile.pullback_energy(
+        1.4, 3.0, n=n, with_residual=True), [8, 16]),
 }
+_NODE_COUNTS.update({
+    "pullback_energy " + r: (lambda n, r=r: profile.pullback_energy(
+        1.4, 3.0, route=r, n=n), [16])
+    for r in ("radial", "w-substitution", "hyperbolic")})
 
 
 @pytest.mark.parametrize("name", sorted(_NODE_COUNTS))
