@@ -24,9 +24,8 @@ from . import coulomb, energy, fields, flow, profile, sphere, verify
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 SEED_LIMIT = 2 ** 128          # Philox keys lie in [0, 2^128)
 LATTICE_KEYS = ("moduli_n", "coulomb_n", "z_n")   # points per lattice axis
-# --adhm values where energy and charge are accurate: a centred instanton's
-# alpha-energy within 3.2e-12 (relative) of the hyperbolic route, the charge
-# within 1e-11 of 1
+# --adhm values where charge is accurate (within 1e-11 of 1); energy takes
+# the same bounds
 ADHM_SCALE = (1.0e-2, 1.0e2)
 ADHM_XI = 1.0e2
 
@@ -181,13 +180,20 @@ def cmd_verify(args):
 
 
 def cmd_energy(args):
+    """The centred instanton of scale s at twist lambda is the basic one
+    dilated by x = s lambda, evaluated on the dilation profile (by the
+    lambda <-> 1/lambda symmetry when x < 1)."""
     _check_range("alpha", args.alpha, 1.0, 2.0)
     _check_range("lambda", args.lam, 1.0, 1.0e4)
     model = _adhm_model(args.adhm)
     if not model.is_radial:
         raise UsageError("energy has no quadrature route for an off-centre "
                          "instanton; use --adhm 0 SCALE")
-    rep = energy.ym_alpha_lambda(model, args.alpha, args.lam, n=args.n)
+    x = model.lam * args.lam
+    v, res = profile.pullback_energy(args.alpha, max(x, 1.0 / x), n=args.n,
+                                     with_residual=True)
+    rep = energy.EnergyReport(v, args.alpha, args.lam, res,
+                              "hyperbolic%d" % (2 * args.n))
     print(rep.to_json())
     return EXIT_OK
 
@@ -224,7 +230,13 @@ def cmd_flow(args):
         prof = flow.random_flow_seed(rng, amp=args.perturb)
         cfg = flow.FlowConfig(alpha=args.alpha, lam=args.lam,
                               max_steps=args.max_steps)
-        res = flow.run_flow(prof, cfg)
+        try:
+            # the line search rejects steps whose energy overflows
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = flow.run_flow(prof, cfg)
+        except flow.FlowError as err:
+            print("flow failed: %s" % err, file=sys.stderr)
+            return EXIT_FAIL
         res.write_trajectory(out)
     print(json.dumps({"converged": res.converged, "reason": res.reason,
                       "steps": res.steps, "energy": res.energy,
@@ -243,6 +255,8 @@ def cmd_gaugefix(args):
         except coulomb.CoulombError as err:
             print("gauge projection failed: %s" % err, file=sys.stderr)
             return EXIT_FAIL
+        except ValueError as err:     # the support gate: no decay in the chart
+            raise UsageError("--perturb %g: %s" % (args.perturb, err))
         res.write_log(out)
     print(json.dumps({"converged": res.converged,
                       "residual": res.residuals[-1],

@@ -21,9 +21,9 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import minimize
 from scipy.sparse.linalg import LinearOperator, cg
 
-from . import quat, sphere, fields
+from . import quat, fields
 from .quat import bracket, conjugate_im, exp_im, im_part, qconj, qmul
-from .sphere import ConformalMap, Lattice4D, central_diff, pairwise_sum
+from .sphere import ConformalMap, central_diff, pairwise_sum
 
 
 class CoulombError(RuntimeError):
@@ -126,28 +126,6 @@ def _grid_potential(model, lattice):
     return model.potential(lattice.points).reshape(lattice.shape + (4, 3))
 
 
-def dstar_against_basic(upsilon, lattice):
-    """Covariant divergence D*Upsilon against the basic connection.
-
-    upsilon: coordinate 1-form values, (N, 4, 3) or grid-shaped; returns the
-    ImQuaternion section on the grid (second-order interior stencils)."""
-    lat = lattice
-    ups = np.asarray(upsilon, float)
-    if ups.shape == (lat.points.shape[0], 4, 3):
-        ups = ups.reshape(lat.shape + (4, 3))
-    if ups.shape != lat.shape + (4, 3):
-        raise ValueError("stencil-out-of-domain: upsilon must live on the lattice")
-    ch = _chart(lat)
-    return ch.divergence(ups) / ch.rw[..., None]
-
-
-def w_operator(sigma, c, zeta):
-    """e^{-sigma} (c - basic) e^{sigma} at the given points (exact conjugation)."""
-    zeta = np.asarray(zeta, float)
-    ups = c.potential(zeta) - fields.basic_connection().potential(zeta)
-    return conjugate_im(exp_im(np.asarray(sigma, float))[..., None, :], ups)
-
-
 def gauge_action_lattice(chart, sigma, pot):
     """Potential of sigma[c] at the nodes from the node values of c.
 
@@ -190,14 +168,14 @@ class CoulombResult:
             w.writerow([k, "%.17g" % res, it, "%.17g" % self.sigma_sup[k]])
 
 
-def coulomb_project(c, tol=1.0e-8, max_outer=30, lattice=None,
-                    support_tol=0.05, cg_rtol=1.0e-10, sigma0=None):
+def coulomb_project(c, lattice, tol=1.0e-8, max_outer=30, support_tol=0.05,
+                    cg_rtol=1.0e-10, sigma0=None):
     """Project a connection onto the Coulomb slice through the basic one.
 
     Outer loop: assemble the exact divergence residual of the transformed
     potential, solve one covariant Poisson problem for the update, damp by
     0.5 after a residual increase; two consecutive increases abort."""
-    lat = lattice or Lattice4D(3.0, 15)
+    lat = lattice
     ch = _chart(lat)
     pot = _grid_potential(c, lat)
     ups0 = pot - ch.gamma
@@ -272,27 +250,31 @@ def lifted_pullback(m, model):
     return out
 
 
-def commute_check(c, m, tol=1.0e-6, lattice=None):
-    """|| project(m* c) - m*(project(c)) ||_{L^2} over the chart interior,
-    with m acting through its basic-fixing lift.
+def commute_check(c, maps, lattice, tol=1.0e-6):
+    """|| project(m* c) - m*(project(c)) ||_{L^2} over the chart interior for
+    each map m in maps, with m acting through its basic-fixing lift; c is
+    projected once for all of them.
 
     Both sides are written as discrete gauge actions on the pulled-back
     potential: m*(sigma0[c]) = (conj_q sigma0 . phi)[m* c], so the comparison
     is sigma1 against the transported sigma0 through the same stencil and the
     identity map gives exactly zero."""
-    lat = lattice or Lattice4D(3.0, 15)
+    lat = lattice
     ch = _chart(lat)
-    mc = lifted_pullback(m, c)
-    r1 = coulomb_project(mc, tol=tol, lattice=lat)
     r0 = coulomb_project(c, tol=tol, lattice=lat)
     itp = RegularGridInterpolator((lat.axis,) * 4, r0.sigma, method="cubic",
                                   bounds_error=False, fill_value=0.0)
-    sig_b = itp(m.apply(lat.points)).reshape(lat.shape + (3,))
-    if not np.allclose(m.q, quat.ONE):
-        sig_b = conjugate_im(np.asarray(m.q, float), sig_b)
-    pot = _grid_potential(mc, lat)
-    pb = gauge_action_lattice(ch, sig_b, pot)
-    return ch.oneform_norm(pb - r1.connection.values, interior_only=True)
+    defects = []
+    for m in maps:
+        mc = lifted_pullback(m, c)
+        r1 = coulomb_project(mc, tol=tol, lattice=lat)
+        sig_b = itp(m.apply(lat.points)).reshape(lat.shape + (3,))
+        if not np.allclose(m.q, quat.ONE):
+            sig_b = conjugate_im(np.asarray(m.q, float), sig_b)
+        pb = gauge_action_lattice(ch, sig_b, _grid_potential(mc, lat))
+        defects.append(ch.oneform_norm(pb - r1.connection.values,
+                                       interior_only=True))
+    return defects
 
 
 @dataclass
@@ -315,7 +297,7 @@ def _z_value(c, lam, xi, lat, tol, sigma0=None):
     return cmap, zf + zu, zf, zu, res.sigma
 
 
-def minimize_conformal_distance(c, lam_max=2.0, xi_max=0.5, lattice=None,
+def minimize_conformal_distance(c, lattice, lam_max=2.0, xi_max=0.5,
                                 tol=1.0e-6):
     """Minimize Z = ||F_projected - F_basic||^2 + ||projected - basic||^2 over
     maps zeta -> xi + lam * zeta in the box lam in [1/lam_max, lam_max],
@@ -323,7 +305,7 @@ def minimize_conformal_distance(c, lam_max=2.0, xi_max=0.5, lattice=None,
     centre and the eight points +-xi_max e_a), then Nelder-Mead on
     (log lam, xi).
     Probes where the projection fails are skipped (recorded in the trace)."""
-    lat = lattice or Lattice4D(3.0, 9)
+    lat = lattice
     trace = []
     warm = [None]       # reuse the last transform as the next probe's seed
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import quat, sphere, fields
+from . import sphere, fields
 from .sphere import RadialGrid, _doubling, pairwise_sum
 
 BASIC_YM_ALPHA = lambda alpha: 6.0 ** alpha * (4.0 / 3.0) * np.pi ** 2
@@ -102,19 +102,11 @@ def charge_density_coord(F):
             - np.sum(Fp * Fp, axis=(-3, -2, -1)))
 
 
-def wedge_density_coord(F):
-    """-1/2 sum_{ijkl} eps_{ijkl} <F_ij, F_kl>; equals charge_density_coord."""
-    d = quat.dot
-    return -4.0 * (d(F[..., 0, 1, :], F[..., 2, 3, :])
-                   - d(F[..., 0, 2, :], F[..., 1, 3, :])
-                   + d(F[..., 0, 3, :], F[..., 1, 2, :]))
-
-
-def topological_charge(model, n=96, density=charge_density_coord):
+def topological_charge(model, n=96):
     """(1/8 pi^2) int (|F-|^2 - |F+|^2) dzeta (conformal weights cancel)."""
     if isinstance(model, fields.LatticeField):
         lat = model.lattice
-        q = density(model.curvature(lat.points))
+        q = charge_density_coord(model.curvature(lat.points))
         return pairwise_sum(q * lat.h ** 4) / (8.0 * np.pi ** 2)
     if isinstance(model, fields.Adhm):
         center, scale = model.xi, model.lam
@@ -125,7 +117,8 @@ def topological_charge(model, n=96, density=charge_density_coord):
 
     g = RadialGrid(2 * n)
     pts = g.axis_points(center=center, scale=scale)
-    v = scale ** 4 * g.integrate_flat(density(model.curvature(pts)))
+    q = charge_density_coord(model.curvature(pts))
+    v = scale ** 4 * g.integrate_flat(q)
     return v / (8.0 * np.pi ** 2)
 
 

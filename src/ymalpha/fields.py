@@ -1,20 +1,17 @@
 """Connection models: instanton family, radial ansatz, gauge transforms,
 conformal pullbacks, lattice fields, and the curvature formula
-F_ij = d_i A_j - d_j A_i + [A_i, A_j] with its finite-difference forms.
+F_ij = d_i A_j - d_j A_i + [A_i, A_j] with its lattice form.
 
 All potentials are chart-coordinate 1-forms with values in Im H, evaluated in
 batches: potential(zeta) -> (N, 4, 3), curvature(zeta) -> (N, 4, 4, 3).
 """
-
-import json
-import pathlib
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import quat, sphere
 from .quat import qmul, qconj, qnorm2, im_part, exp_im, conjugate_im
-from .sphere import Lattice4D, RadialGrid, central_diff, partials
+from .sphere import RadialGrid, central_diff, partials
 
 
 def v_field(zeta):
@@ -261,22 +258,6 @@ class LatticeField(ConnectionModel):
         """Node values of lattice_curvature at the nodes nearest to zeta."""
         return lattice_curvature(self)[self._nodes(zeta)]
 
-    def save(self, path):
-        path = pathlib.Path(path)
-        self.values.astype("<f8").tofile(path)
-        meta = {"R": self.lattice.R, "n": self.lattice.n,
-                "h": self.lattice.h, "shape": list(self.values.shape),
-                "dtype": "<f8", "order": "C"}
-        path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, indent=1))
-
-    @classmethod
-    def load(cls, path):
-        path = pathlib.Path(path)
-        meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        lat = Lattice4D(meta["R"], meta["n"])
-        vals = np.fromfile(path, dtype=meta["dtype"]).reshape(meta["shape"])
-        return cls(lat, vals)
-
 
 def gauge_act(transform, model):
     return GaugeTransformed(model, transform)
@@ -336,12 +317,6 @@ def curvature_from(A, dA):
     and their partials dA (..., i, j, 3) = d_i A_j."""
     return dA - np.swapaxes(dA, -3, -2) \
         + quat.bracket(A[..., :, None, :], A[..., None, :, :])
-
-
-def curvature_fd(model, zeta, h=1e-3):
-    """Curvature from centred differences of the potential."""
-    return curvature_from(model.potential(zeta),
-                          partials(model.potential, zeta, h))
 
 
 def lattice_curvature(model):

@@ -202,27 +202,6 @@ def run_flow(profile, config=None):
                       float(fl.grad_norm(g)), traj)
 
 
-def discrete_minimizer(fl, g0=None):
-    """Zero of the discretized-energy gradient on the active knots (the grid
-    representation of the critical connection; a few 1e-5 from g = 1 at
-    lam = 1 because quadrature of the spline cardinal functions is inexact).
-    """
-    from scipy.optimize import root
-    g = np.ones(fl.grid.n) if g0 is None else np.asarray(g0, float).copy()
-    idx = np.where(fl.active)[0]
-
-    def fun(x):
-        gg = g.copy()
-        gg[idx] = x
-        return fl.grad(gg)[idx]
-    sol = root(fun, g[idx], method="hybr")
-    if np.max(np.abs(sol.fun)) > 1e-10:
-        raise FlowError("discrete minimizer search failed: " + sol.message)
-    out = g.copy()
-    out[idx] = sol.x
-    return out
-
-
 def random_flow_seed(rng, grid=None, amp=0.25, s_range=S_RANGE):
     """Random smooth bump perturbation of g = 1 supported in the active
     window (smooth sin^2 taper to the pinned ends)."""
@@ -240,20 +219,3 @@ def random_flow_seed(rng, grid=None, amp=0.25, s_range=S_RANGE):
         g += a * taper * np.exp(-((th - c) / w) ** 2)
     return fields.RadialProfile(th, g)
 
-
-def closure_check(profile, alpha):
-    """Relative L^2 size of the energy-gradient component leaving the radial
-    ansatz, sampled on a coarse 4D lattice (the pointwise ansatz tangent is
-    the v-field direction).  Must be small for the 1D flow to represent the
-    full flow."""
-    from . import sphere, variational
-    lat = sphere.Lattice4D(2.0, 8)
-    pts = lat.points + 1e-3        # stay off the exact origin/axes
-    G = variational.gradient_ym_alpha_lambda(profile, alpha, 1.0, pts, h=1e-4)
-    vh = sphere.frame_scale(pts)[:, None, None] * fields.v_field(pts)
-    v2 = np.sum(vh * vh, axis=(-2, -1))
-    coef = np.sum(G.total * vh, axis=(-2, -1)) / v2
-    resid = G.total - coef[:, None, None] * vh
-    num = pairwise_sum(np.sum(resid * resid, axis=(-2, -1)) * lat.weights)
-    den = pairwise_sum(np.sum(G.total * G.total, axis=(-2, -1)) * lat.weights)
-    return np.sqrt(num / den) if den > 0 else 0.0

@@ -38,14 +38,6 @@ def qnorm2(q):
     return np.sum(q * q, axis=-1)
 
 
-def qnorm(q):
-    return np.sqrt(qnorm2(q))
-
-
-def qinv(q):
-    return qconj(q) / qnorm2(q)[..., None]
-
-
 def im_part(q):
     """Drop the scalar part: Quaternion (...,4) -> ImQuaternion (...,3)."""
     return np.asarray(q, float)[..., 1:].copy()
@@ -62,15 +54,6 @@ def from_im(s):
 def bracket(a, b):
     """Commutator ab - ba of pure imaginary quaternions; equals 2 a x b."""
     return 2.0 * np.cross(np.asarray(a, float), np.asarray(b, float))
-
-
-def dot(a, b):
-    """Euclidean pairing on Im H with |i| = |j| = |k| = 1."""
-    return np.sum(np.asarray(a, float) * np.asarray(b, float), axis=-1)
-
-
-def inorm2(a):
-    return dot(a, a)
 
 
 def exp_im(s):

@@ -42,12 +42,6 @@ def chi_lambda(zeta, lam):
     return lam ** (-4) * ((1.0 + lam ** 2 * s) / (1.0 + s)) ** 4
 
 
-def dchi_dloglambda(zeta, lam):
-    """d chi_lambda / d log(lambda) = chi * 4 (lam^2 r^2 - 1)/(lam^2 r^2 + 1)."""
-    s = r2(zeta)
-    return chi_lambda(zeta, lam) * 4.0 * (lam ** 2 * s - 1.0) / (lam ** 2 * s + 1.0)
-
-
 def mu(zeta):
     """(r^2 - 1)/(r^2 + 1), i.e. minus the cosine of the polar angle."""
     s = r2(zeta)
@@ -85,17 +79,9 @@ class ConformalMap:
         R = rotation_matrix(self.p, self.q)  # R[j, a]
         return np.array(np.broadcast_to(self.lam * R.T, shape))
 
-    def inverse(self):
-        return ConformalMap(xi1=self.xi2, xi2=self.xi1, lam=1.0 / self.lam,
-                            p=qconj(self.p), q=qconj(self.q))
-
 
 def dilation(lam):
     return ConformalMap(lam=float(lam))
-
-
-def translation(xi):
-    return ConformalMap(xi2=np.asarray(xi, float))
 
 
 def rotation(p, q):
@@ -190,7 +176,7 @@ class RadialGrid:
 class Lattice4D:
     """Regular axis-aligned chart lattice on [-R, R]^4 with round weights."""
 
-    def __init__(self, R=3.0, n=24):
+    def __init__(self, R, n):
         self.R = float(R)
         self.n = int(n)
         if self.n < 2:
@@ -205,10 +191,6 @@ class Lattice4D:
 
     def integrate_round(self, values):
         return pairwise_sum(np.asarray(values).ravel() * self.weights)
-
-    def field(self, values, ncomp):
-        """Reshape flat per-point values to the (n,n,n,n,ncomp) grid layout."""
-        return np.asarray(values).reshape(self.shape + (ncomp,))
 
 
 # ---------------------------------------------------------------------------

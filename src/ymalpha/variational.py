@@ -147,36 +147,20 @@ def _f_bracket(Fh, xi):
     return np.einsum("...kbm->...bm", bracket(Fh, xi[..., :, None, :]))
 
 
-def jacobi_apply(model, xi_fn, zeta, h=FD_STEP, form=1):
-    """Jacobi operator on a frame-component 1-form field xi_fn.
-
-    form 1: -D*D Xi - [F_kb, Xi_k].  form 2 (Weitzenboeck rewrite):
-    lap Xi + D D* Xi - 3 Xi - 2 [F_kb, Xi_k].  The forms agree to O(h^2)."""
+def jacobi_apply(model, xi_fn, zeta, h=FD_STEP):
+    """Jacobi operator -D*D Xi - [F_kb, Xi_k] on a frame-component 1-form
+    field xi_fn."""
     zeta = np.asarray(zeta, float)
-    xi = xi_fn(zeta)
-    fxi = _f_bracket(frame_curvature(model, zeta), xi)
-    if form == 1:
-        def om(q):
-            return exterior_d(xi_fn, model, q, h)
-        S = cov_twotensor(om, model, zeta, h)
-        return np.einsum("...aabm->...bm", S) - fxi
-    if form == 2:
-        def Tfn(q):
-            return cov_oneform(xi_fn, model, q, h)
-        S = cov_twotensor(Tfn, model, zeta, h)
-        lap = np.einsum("...aabm->...bm", S)
+    fxi = _f_bracket(frame_curvature(model, zeta), xi_fn(zeta))
 
-        def div(q):
-            return dstar_oneform(xi_fn, model, q, h)
-        w = frame_scale(zeta)[..., None, None]
-        dd = w * partials(div, zeta, h)
-        dd += bracket(frame_potential(model, zeta), div(zeta)[..., None, :])
-        return lap + dd - 3.0 * xi - 2.0 * fxi
-    raise ValueError("form must be 1 or 2")
+    def om(q):
+        return exterior_d(xi_fn, model, q, h)
+    S = cov_twotensor(om, model, zeta, h)
+    return np.einsum("...aabm->...bm", S) - fxi
 
 
 # ---------------------------------------------------------------------------
-# moduli directions and kernel projection
+# moduli directions
 # ---------------------------------------------------------------------------
 
 def _family_direction(k):
@@ -203,8 +187,8 @@ class ModuliBasis:
     differences of the family at (xi=0, lam=1), then Gram-Schmidt in
     L^2(dV_g).  Frame components throughout."""
 
-    def __init__(self, lattice=None):
-        self.lattice = lattice if lattice is not None else sphere.Lattice4D(3.0, 12)
+    def __init__(self, lattice):
+        self.lattice = lattice
         self._raw = [_family_direction(k) for k in range(5)]
         pts = self.lattice.points
         vals = [frame_scale(pts)[:, None, None] * f(pts) for f in self._raw]
@@ -222,10 +206,6 @@ class ModuliBasis:
     def _ip(self, a, b):
         return pairwise_sum(np.sum(a * b, axis=(-2, -1)) * self.lattice.weights)
 
-    def gram(self):
-        return np.array([[self._ip(a, b) for b in self.values]
-                         for a in self.values])
-
     def member(self, k):
         """Member k as a frame-component callable (for off-lattice stencils)."""
         inv = np.linalg.inv(self.coeffs)   # ortho[k] = sum_i inv[k,i] vals[i]
@@ -238,13 +218,6 @@ class ModuliBasis:
                     acc = acc + inv[k, i] * (w * self._raw[i](zeta))
             return acc
         return fn
-
-    def project(self, xi_values):
-        """Orthogonal projection onto span(basis); xi sampled on the lattice."""
-        out = np.zeros_like(xi_values)
-        for b in self.values:
-            out = out + self._ip(xi_values, b) * b
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@ seed, with an independent jumped stream per check.
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import coulomb, energy, fields, flow, profile, sphere, variational
 from .energy import BASIC_YM_ALPHA
-from .sphere import Lattice4D, RadialGrid, pairwise_sum
+from .sphere import Lattice4D, RadialGrid
 
 REPORT_VERSION = 1
 
@@ -411,15 +411,15 @@ def check_coulomb(cfg, rng):
     # rotation/dilation at the stencil-limited tolerance
     from . import quat
     c = flow.random_flow_seed(rng, amp=0.12, s_range=(0.1, 5.0))
-    com_exact = coulomb.commute_check(c, sphere.rotation(quat.ONE, quat.I),
-                                      tol=1e-6, lattice=lat)
+    com_exact, = coulomb.commute_check(
+        c, [sphere.rotation(quat.ONE, quat.I)], tol=1e-6, lattice=lat)
     p = rng.normal(size=4)
     q = rng.normal(size=4)
     p /= np.linalg.norm(p)
     q /= np.linalg.norm(q)
     ct = cfg["commute_tol"]
-    com_rot = coulomb.commute_check(c, sphere.rotation(p, q), tol=ct, lattice=lat)
-    com_dil = coulomb.commute_check(c, sphere.dilation(1.1), tol=ct, lattice=lat)
+    com_rot, com_dil = coulomb.commute_check(
+        c, [sphere.rotation(p, q), sphere.dilation(1.1)], tol=ct, lattice=lat)
     # bootstrap constant over two decades of curvature distance
     ratios = []
     for lam in (1.00013, 1.0004, 1.0013, 1.004, 1.013):

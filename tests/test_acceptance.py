@@ -2,13 +2,15 @@
 configuration must pass every check at the stated tolerances.
 
 The suite runs once (session fixture) and each named check is asserted as a
-separate test so failures are individually attributable.
+separate test so failures are individually attributable.  The suite takes
+minutes, so the module is marked slow.
 """
 
-import numpy as np
 import pytest
 
-from ymalpha import profile, verify
+from ymalpha import verify
+
+pytestmark = pytest.mark.slow
 
 CHECK_IDS = [
     "basic-energy",
@@ -49,11 +51,3 @@ def test_report_serializes(report):
     for cid in CHECK_IDS:
         assert cid in text
 
-
-@pytest.mark.xfail(strict=True,
-                   reason="the quoted gradient-norm constant omits the "
-                          "trailing factor (2 - 1/lam^2); chi-norms verifies "
-                          "the corrected closed form")
-def test_chi_gradient_literal_constant():
-    rep = profile.chi_sobolev_norms(2.0)
-    assert rep.grad_sq_regions == pytest.approx(rep.grad_sq_closed, rel=1e-6)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ymalpha import cli, coulomb, flow, profile, verify
+from ymalpha import cli, coulomb, energy, fields, flow, profile, verify
 from ymalpha.energy import BASIC_YM_ALPHA
 
 # the cheap deterministic subset used for CLI-mechanics tests (the full
@@ -21,6 +21,26 @@ def test_energy_value(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == pytest.approx(BASIC_YM_ALPHA(1.5), rel=1e-8)
     assert out["alpha"] == 1.5
+
+
+def test_energy_at_large_lambda(capsys):
+    # the radial route at n = 96 is 4.7% off here; n = 800 converges
+    assert cli.main(["energy", "--alpha", "1.05", "--lam", "10000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    ref = energy.ym_alpha_lambda(fields.basic_connection(), 1.05, 1e4, n=800)
+    assert out["value"] == pytest.approx(ref.value, rel=1e-9)
+    assert out["residual"] < 1e-9 * out["value"]
+
+
+@pytest.mark.parametrize("alpha, scale, lam", [
+    (1.5, 1.0, 3.0), (1.5, 2.0, 3.0), (1.3, 0.5, 7.0), (1.2, 0.3, 1.0)])
+def test_energy_matches_radial_route(alpha, scale, lam, capsys):
+    # scale * lam < 1 in the last case: the 1/lambda symmetry
+    assert cli.main(["energy", "--alpha", str(alpha), "--lam", str(lam),
+                     "--adhm", "0", str(scale)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    ref = energy.ym_alpha_lambda(fields.Adhm(None, scale), alpha, lam)
+    assert out["value"] == pytest.approx(ref.value, rel=1e-10)
 
 
 def test_charge_output(capsys):
@@ -125,6 +145,7 @@ def test_profile_csv(tmp_path):
     assert np.all(np.diff(rows[:, 4]) > 0)
 
 
+@pytest.mark.slow
 def test_flow_csv_monotone(tmp_path):
     out = tmp_path / "t.csv"
     rc = cli.main(["flow", "--alpha", "1.1", "--perturb", "0.05",
@@ -145,6 +166,21 @@ def test_gaugefix_csv(tmp_path):
     assert lines[0] == "outer_iter,residual,cg_iters,sigma_sup_norm"
     res = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert res[-1] <= 1e-8
+
+
+def test_failed_flow_exits_one(capsys):
+    # the line search gives up below dt_min: one line on stderr, exit 1
+    assert cli.main(["flow", "--alpha", "1.1", "--perturb", "1e5",
+                     "--max-steps", "3", "--output", os.devnull]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("flow failed: ")
+
+
+def test_gaugefix_support_gate_exits_usage(capsys):
+    # the spline tail of the perturbation reaches outside |zeta| <= 0.8 R
+    assert cli.main(["gaugefix", "--n", "5", "--perturb", "1e15",
+                     "--output", os.devnull]) == 2
+    assert "not supported" in capsys.readouterr().err
 
 
 def test_verify_missing_config(capsys):

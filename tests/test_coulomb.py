@@ -75,10 +75,8 @@ def test_gauge_action_lattice_identity():
 def test_dstar_against_continuum_operator():
     # the lattice divergence approximates the continuum covariant divergence
     from ymalpha import variational
-    sig = fields.random_bump_sigma(np.random.default_rng(3), amp=0.1)
 
     def ups_coord(q):
-        d2 = np.sum((np.asarray(q, float)[..., :1] - 0.2) ** 2, axis=-1)
         return np.exp(-np.sum(np.asarray(q, float) ** 2, axis=-1)
                       )[..., None, None] * np.ones((4, 3)) * 0.1
 
@@ -90,7 +88,10 @@ def test_dstar_against_continuum_operator():
     cont = variational.dstar_oneform(fn, fields.basic_connection(), pts, h=1e-3)
     errs = []
     for lat in (LAT, Lattice4D(3.0, 21)):       # nested: n=11 nodes in n=21
-        div = coulomb.dstar_against_basic(ups_coord(lat.points), lat)
+        # the continuum section rw * D*ups (see BasicChart.divergence)
+        c = coulomb._chart(lat)
+        ups = ups_coord(lat.points).reshape(lat.shape + (4, 3))
+        div = c.divergence(ups) / c.rw[..., None]
         idx = np.rint((pts + lat.R) / lat.h).astype(int)
         at = div[idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]]
         errs.append(np.max(np.abs(at - cont)))
@@ -140,19 +141,6 @@ def test_commute_with_exact_lattice_rotation():
     c = flow.random_flow_seed(np.random.default_rng(6), amp=0.1,
                               s_range=(0.1, 5.0))
     m = sphere.rotation(quat.ONE, quat.I)   # maps the lattice to itself
-    defect = coulomb.commute_check(c, m, tol=1e-6, lattice=LAT)
+    defect, = coulomb.commute_check(c, [m], tol=1e-6, lattice=LAT)
     assert defect < 1e-5
 
-
-def test_w_operator_trivial_and_isometry():
-    pts = rng.normal(size=(40, 4))
-    c = fields.Adhm(None, 1.2)
-    zero = np.zeros((40, 3))
-    ups = coulomb.w_operator(zero, c, pts)
-    diff = c.potential(pts) - fields.basic_connection().potential(pts)
-    assert np.allclose(ups, diff, atol=1e-12)
-    # conjugation by a unit quaternion preserves the pointwise norm
-    sig = rng.normal(scale=0.3, size=(40, 3))
-    ups2 = coulomb.w_operator(sig, c, pts)
-    assert np.allclose(np.sum(ups2 ** 2, axis=(-2, -1)),
-                       np.sum(diff ** 2, axis=(-2, -1)), rtol=1e-10)

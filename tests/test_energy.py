@@ -12,6 +12,15 @@ from ymalpha.sphere import Lattice4D, RadialGrid
 rng = np.random.default_rng(3)
 
 
+def _wedge_density_coord(F):
+    """-1/2 sum_{ijkl} eps_{ijkl} <F_ij, F_kl>, without the Hodge split."""
+    def d(a, b):
+        return np.sum(a * b, axis=-1)
+    return -4.0 * (d(F[..., 0, 1, :], F[..., 2, 3, :])
+                   - d(F[..., 0, 2, :], F[..., 1, 3, :])
+                   + d(F[..., 0, 3, :], F[..., 1, 2, :]))
+
+
 def test_basic_energy_closed_form():
     for alpha in (1.0, 1.3, 1.5, 2.0):
         rep = energy.ym_alpha(fields.basic_connection(), alpha)
@@ -70,7 +79,10 @@ def test_charge_density_routes_agree():
     # hodge-split density and the wedge density integrate to the same charge
     m = fields.Adhm(None, 1.4)
     q1 = energy.topological_charge(m)
-    q2 = energy.topological_charge(m, density=energy.wedge_density_coord)
+    g = RadialGrid(192)
+    F = m.curvature(g.axis_points(scale=m.lam))
+    q2 = m.lam ** 4 * g.integrate_flat(_wedge_density_coord(F)) \
+        / (8.0 * np.pi ** 2)
     assert q1 == pytest.approx(q2, abs=1e-9)
 
 
@@ -123,7 +135,8 @@ def test_report_json():
 def test_no_route_for_nonradial_analytic():
     # off-centre models are not radial and must be sampled to a lattice first
     b = fields.basic_connection()
-    for m in (fields.pullback(sphere.translation([0.3, 0.0, -0.2, 0.0]), b),
+    for m in (fields.pullback(sphere.ConformalMap(
+                  xi2=np.array([0.3, 0.0, -0.2, 0.0])), b),
               fields.Adhm(np.array([0.5, 0.0, 0.0, 0.0]), 1.0)):
         assert not m.is_radial
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ymalpha import energy, fields, profile, quat, sphere
+from ymalpha import energy, fields, profile, sphere
 from ymalpha.sphere import RadialGrid, Lattice4D
 
 rng = np.random.default_rng(7)
@@ -42,19 +42,13 @@ def test_chi_lambda_values():
     assert np.allclose(sphere.chi_lambda(pts, 1.0), 1.0)
     # chi at the origin is lambda^{-4}; at infinity it grows like lambda^4
     assert np.isclose(sphere.chi_lambda(np.zeros(4), 2.0), 2.0 ** -4)
-    d = sphere.dchi_dloglambda(pts, 1.3)
+    # d chi / d log(lambda) = chi * 4 (lam^2 r^2 - 1)/(lam^2 r^2 + 1)
+    ls = 1.3 ** 2 * np.sum(pts ** 2, axis=-1)
+    d = sphere.chi_lambda(pts, 1.3) * 4.0 * (ls - 1.0) / (ls + 1.0)
     h = 1e-6
     fd = (sphere.chi_lambda(pts, 1.3 * np.exp(h))
           - sphere.chi_lambda(pts, 1.3 * np.exp(-h))) / (2 * h)
     assert np.allclose(d, fd, rtol=1e-6)
-
-
-def test_conformal_map_inverse():
-    m = sphere.ConformalMap(xi1=np.array([0.1, 0, -0.2, 0.05]),
-                            xi2=np.array([0.3, -0.1, 0, 0.2]), lam=1.7)
-    pts = rng.normal(size=(40, 4))
-    back = m.inverse().apply(m.apply(pts))
-    assert np.allclose(back, pts, atol=1e-10)
 
 
 def test_conformal_jacobian_fd():
@@ -81,7 +75,7 @@ def test_rotation_is_isometry_of_r2():
 def test_dilation_translation():
     d = sphere.dilation(2.5)
     assert np.allclose(d.apply(np.ones((3, 4))), 2.5 * np.ones((3, 4)))
-    t = sphere.translation(np.array([1.0, 0, 0, 0]))
+    t = sphere.ConformalMap(xi2=np.array([1.0, 0, 0, 0]))
     assert np.allclose(t.apply(np.zeros(4)), [1.0, 0, 0, 0])
 
 
@@ -167,7 +161,7 @@ def test_lattice_layout():
     lat = Lattice4D(2.0, 5)
     assert lat.points.shape == (5 ** 4, 4)
     assert np.isclose(lat.h, 1.0)
-    grid = lat.field(lat.points, 4)
+    grid = lat.points.reshape(lat.shape + (4,))
     assert grid.shape == (5, 5, 5, 5, 4)
     assert np.allclose(grid[0, 0, 0, 0], [-2, -2, -2, -2])
     assert Lattice4D(3.0, 2).h == 6.0
