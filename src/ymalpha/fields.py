@@ -20,6 +20,14 @@ def v_field(zeta):
     return np.stack([im_part(qmul(zc, quat.E_BASIS[j])) for j in range(4)], axis=-2)
 
 
+def ansatz_frame_tensor(zeta):
+    """zeta^i v_j - zeta^j v_i, the t1 term of the radial-ansatz curvature;
+    shape (N, 4, 4, 3)."""
+    v = v_field(zeta)
+    zv = zeta[..., :, None, None] * v[..., None, :, :]
+    return zv - np.swapaxes(zv, -3, -2)
+
+
 def _m_tensor():
     m = np.zeros((4, 4, 3))
     for i in range(4):
@@ -142,9 +150,7 @@ class RadialProfile(ConnectionModel):
         s = qnorm2(zeta)
         f, sfp = self.f_sfp(np.maximum(s, 1e-14))
         fp = sfp / np.maximum(s, 1e-14)
-        v = v_field(zeta)
-        zv = zeta[..., :, None, None] * v[..., None, :, :]
-        asym = zv - np.swapaxes(zv, -3, -2)
+        asym = ansatz_frame_tensor(zeta)
         t1 = 2.0 * (fp + f ** 2)
         t2 = 2.0 * f * (1.0 - s * f)
         return t1[..., None, None, None] * asym + t2[..., None, None, None] * M_TENSOR

@@ -31,6 +31,7 @@ DT_MIN = 1.0e-10        # line search gives up below this step
 GRAD_TOL = 1.0e-6       # convergence: gradient norm at most this ...
 STALL_WINDOW = 100      # ... and dist_conn moved at most STALL_RTOL
 STALL_RTOL = 1.0e-8     #     (relative) over the last STALL_WINDOW steps
+CHARGE_NODES = 96       # in-loop charge: topological_charge's n = 48 grid
 
 
 class FlowError(RuntimeError):
@@ -64,7 +65,8 @@ class FlowResult:
 
 
 class RadialFlow:
-    """Discretized energy, exact gradient and distances on one theta grid."""
+    """Discretized energy, exact gradient, distances and charge on one theta
+    grid."""
 
     def __init__(self, alpha, grid=None, lam=1.0):
         if alpha < 1 or lam <= 0:
@@ -82,17 +84,32 @@ class RadialFlow:
         # spline differentiation matrix on [theta, pi] with pinned endpoint
         knots = np.concatenate([g.theta, [np.pi]])
         spl = CubicSpline(knots, np.eye(g.n + 1))
-        Dfull = spl.derivative()(g.theta)           # (n, n+1)
+        dspl = spl.derivative()
+        Dfull = dspl(g.theta)                       # (n, n+1)
         self.D = Dfull[:, :-1]
         self.d0 = Dfull[:, -1]                      # pinned g(pi) = 1
         self._pq0 = self._pq(np.ones(g.n))          # the basic connection
+        # charge map: energy.topological_charge(self.profile(g), n=48), the
+        # flat quadrature on RadialGrid(96) of the density of
+        # F = t1 (zeta^i v_j - zeta^j v_i) + t2 M_ij, as a quadratic form in
+        # (P, Q) = (s t1 / 2, t2 / 2) of the same spline at its nodes
+        cg = RadialGrid(CHARGE_NODES)
+        self._cs, self._cr = cg.s, cg.r
+        cv, cd = spl(cg.theta), dspl(cg.theta)      # (96, n+1) each
+        self._cv, self._cv0 = cv[:, :-1], cv[:, -1]
+        self._cd, self._cd0 = cd[:, :-1], cd[:, -1]
+        asym = fields.ansatz_frame_tensor(cg.axis_points())
+        qa = energy.charge_density_coord(asym)
+        qc = energy.charge_density_coord(fields.M_TENSOR)
+        qb = energy.charge_density_coord(asym + fields.M_TENSOR) - qa - qc
+        w = 4.0 * cg.flat_w / (8.0 * np.pi ** 2)
+        self._wpp = w * qa / cg.s ** 2
+        self._wpq = w * qb / cg.s
+        self._wqq = w * qc
 
     def _pq(self, g):
         """P = s(f' + f^2), Q = f(1 - s f) at the knots; rho = 24 W ((P+Q)^2 + Q^2)."""
-        s, r = self.s, self.r
-        f = g / (1.0 + s)
-        sfp = (self.D @ g + self.d0) * r / (1.0 + s) ** 2 - s * g / (1.0 + s) ** 2
-        return sfp + s * f * f, f * (1.0 - s * f)
+        return _pq(g, self.D @ g + self.d0, self.s, self.r)
 
     def rho(self, g):
         P, Q = self._pq(g)
@@ -116,15 +133,24 @@ class RadialFlow:
         q = (1.0 - 2.0 * s * f) / (1.0 + s)
         return self.D.T @ (cp * a) + cp * b + cq * q
 
-    def grad_norm(self, g):
-        """L^2(dV_g) norm of the flow velocity (mass-weighted dual norm)."""
-        dg = self.grad(g)[self.active]
+    def grad_norm(self, dg):
+        """L^2(dV_g) norm of the flow velocity (mass-weighted dual norm) of
+        the gradient dg = grad(g)."""
+        dg = dg[self.active]
         return np.sqrt(pairwise_sum(dg * dg / self.mass[self.active]))
 
-    def velocity(self, g):
-        v = -self.grad(g) / self.mass
+    def velocity(self, dg):
+        """Flow velocity of the gradient dg = grad(g); zero off the window."""
+        v = -dg / self.mass
         v[~self.active] = 0.0
         return v
+
+    def charge(self, g):
+        """Topological charge of profile(g) by the 96-node charge map."""
+        P, Q = _pq(self._cv @ g + self._cv0, self._cd @ g + self._cd0,
+                   self._cs, self._cr)
+        return pairwise_sum(self._wpp * P * P + self._wpq * P * Q
+                            + self._wqq * Q * Q)
 
     def dist_conn(self, g):
         """L^2 distance of the potential to the basic connection."""
@@ -142,19 +168,24 @@ class RadialFlow:
         return fields.RadialProfile(self.grid.theta, g)
 
 
-def flow_step(fl, g, dt, dt_min, e0=None):
-    """One RK4 step with an energy line search.
+def _pq(g, dg, s, r):
+    """P = s(f' + f^2), Q = f(1 - s f) from g and dg/dtheta at nodes s = r^2."""
+    f = g / (1.0 + s)
+    sfp = dg * r / (1.0 + s) ** 2 - s * g / (1.0 + s) ** 2
+    return sfp + s * f * f, f * (1.0 - s * f)
+
+
+def flow_step(fl, g, dt, dt_min, e0, k1):
+    """One RK4 step with an energy line search from g, whose energy is e0 and
+    velocity k1 = fl.velocity(fl.grad(g)).
 
     Returns (g_new, dt_used, E_new, rejects); dt is halved until the energy
     decreases; raises FlowError below dt_min."""
-    if e0 is None:
-        e0 = fl.energy(g)
     rejects = 0
-    k1 = fl.velocity(g)
     while True:
-        k2 = fl.velocity(g + 0.5 * dt * k1)
-        k3 = fl.velocity(g + 0.5 * dt * k2)
-        k4 = fl.velocity(g + dt * k3)
+        k2 = fl.velocity(fl.grad(g + 0.5 * dt * k1))
+        k3 = fl.velocity(fl.grad(g + 0.5 * dt * k2))
+        k4 = fl.velocity(fl.grad(g + dt * k3))
         gn = g + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         en = fl.energy(gn)
         if np.isfinite(en) and en <= e0 + 1.0e-12 * abs(e0):
@@ -176,20 +207,21 @@ def run_flow(profile, config=None):
     g = profile.g.copy()         # knots outside the active window stay fixed
     t, dt = 0.0, DT
     e = fl.energy(g)
+    dg = fl.grad(g)      # one gradient per accepted state
     traj, dists = [], []
     reason, converged = "max_steps reached", False
     steps = 0
     dt_bad = np.inf      # smallest dt ever rejected; stay clear of it
     for steps in range(1, cfg.max_steps + 1):
-        g, used, e, rejects = flow_step(fl, g, dt, DT_MIN, e)
+        g, used, e, rejects = flow_step(fl, g, dt, DT_MIN, e, fl.velocity(dg))
         t += used
         if rejects:
             dt_bad = min(dt_bad, used * 2.0)
         dt = min(used * 1.25, 4.0 * DT, 0.75 * dt_bad)
-        gn = fl.grad_norm(g)
+        dg = fl.grad(g)
+        gn = fl.grad_norm(dg)
         dc = fl.dist_conn(g)
-        ch = energy.topological_charge(fl.profile(g), n=48)
-        traj.append((t, used, e, gn, dc, fl.dist_curv(g), ch))
+        traj.append((t, used, e, gn, dc, fl.dist_curv(g), fl.charge(g)))
         dists.append(dc)
         stable = False
         if len(dists) > STALL_WINDOW:
@@ -199,7 +231,7 @@ def run_flow(profile, config=None):
             reason, converged = "gradient below tolerance, distance stationary", True
             break
     return FlowResult(converged, reason, steps, fl.profile(g), float(e),
-                      float(fl.grad_norm(g)), traj)
+                      float(fl.grad_norm(dg)), traj)
 
 
 def random_flow_seed(rng, grid=None, amp=0.25, s_range=S_RANGE):

@@ -145,7 +145,6 @@ def test_profile_csv(tmp_path):
     assert np.all(np.diff(rows[:, 4]) > 0)
 
 
-@pytest.mark.slow
 def test_flow_csv_monotone(tmp_path):
     out = tmp_path / "t.csv"
     rc = cli.main(["flow", "--alpha", "1.1", "--perturb", "0.05",

@@ -52,7 +52,7 @@ def test_basic_profile_is_stationary():
     # g = 1 is stationary up to the cardinal-function quadrature defect
     fl = flow.RadialFlow(1.1)
     g = np.ones(fl.grid.n)
-    assert fl.grad_norm(g) < 1e-3
+    assert fl.grad_norm(fl.grad(g)) < 1e-3
     assert fl.energy(g) == pytest.approx(BASIC_YM_ALPHA(1.1), rel=1e-6)
 
 
@@ -80,12 +80,28 @@ def test_flow_step_decreases_energy():
     fl = flow.RadialFlow(1.1)
     g = _small_seed(4, amp=0.2).g
     e0 = fl.energy(g)
-    g1, dt, e1, rejects = flow.flow_step(fl, g, 0.05, 1e-10)
+    g1, dt, e1, rejects = flow.flow_step(fl, g, 0.05, 1e-10, e0,
+                                         fl.velocity(fl.grad(g)))
     assert e1 <= e0
     assert dt <= 0.05
 
 
-@pytest.mark.slow
+@pytest.mark.parametrize("knots", [24, 64])
+def test_charge_map_matches_topological_charge(knots):
+    grid = RadialGrid(knots)
+    fl = flow.RadialFlow(1.1, grid)
+    seed = flow.random_flow_seed(np.random.default_rng(knots), grid, amp=0.25)
+    states = [np.ones(knots), seed.g]
+    g, e = seed.g, fl.energy(seed.g)
+    for _ in range(50):
+        g, _, e, _ = flow.flow_step(fl, g, 0.05, 1e-10, e,
+                                    fl.velocity(fl.grad(g)))
+        states.append(g)
+    for g in states:
+        q = energy.topological_charge(fl.profile(g), n=48)
+        assert abs(fl.charge(g) - q) <= 1e-13
+
+
 def test_run_flow_converges_to_basic():
     prof = _small_seed(5, amp=0.15)
     res = flow.run_flow(prof, flow.FlowConfig(alpha=1.1))
@@ -131,7 +147,7 @@ def test_discrete_minimizer_near_one():
     fl = flow.RadialFlow(1.1)
     g = _discrete_minimizer(fl)
     assert np.max(np.abs(g - 1.0)) < 1e-3
-    assert fl.grad_norm(g) < 1e-8
+    assert fl.grad_norm(fl.grad(g)) < 1e-8
 
 
 def test_random_flow_seed_support():

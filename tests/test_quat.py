@@ -1,5 +1,6 @@
 import numpy as np
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from ymalpha import quat
 
@@ -48,9 +49,27 @@ def test_inverse(a):
     assert np.allclose(quat.qmul(inv, a), quat.ONE, atol=1e-9)
 
 
-@given(ims, ims)
-def test_bracket_is_double_cross(x, y):
-    assert np.allclose(quat.bracket(x, y), 2.0 * np.cross(x, y), atol=1e-9)
+@st.composite
+def bracket_pairs(draw):
+    """Im H arrays of mutually broadcastable shapes (..., 3); the first is
+    cov_grad's strided gamma[..., a, :] slice of a (..., 4, 3) array."""
+    shapes = draw(mutually_broadcastable_shapes(
+        signature="(3),(3)->(3)", max_dims=3, max_side=3))
+    sa, sb = shapes.input_shapes
+    gamma = draw(arrays(float, sa[:-1] + (4, 3), elements=finite))
+    a = gamma[..., draw(st.integers(0, 3)), :]
+    b = draw(arrays(float, sb, elements=finite))
+    return a, b
+
+
+@given(bracket_pairs())
+def test_bracket_is_double_cross(pair):
+    # bitwise: the written-out products are np.cross's own
+    a, b = pair
+    for a, b in ((a, b), (b, a)):
+        got, want = quat.bracket(a, b), 2.0 * np.cross(a, b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @given(ims)
