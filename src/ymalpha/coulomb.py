@@ -11,14 +11,23 @@ pair, so the converged iterate satisfies the discrete gauge condition to the
 requested tolerance rather than to the stencil error.  phi = 2/(1+r^2) is the
 chart conformal factor; perturbations must decay inside |zeta| <= 0.8 R so the
 truncation boundary carries no data.
+
+With D_a the centred difference, C_a sig = [Gamma_a, sig] and W = phi^2,
+  L = sum_a (D_a + C_a)^T W (D_a + C_a)
+is applied from three parts assembled once per chart: the scalar stencil
+sum_a D_a^T W D_a (one N x N sparse matrix shared by the three components),
+the pointwise sum_a C_a^T W C_a, and the cross terms, which collapse onto the
+lattice edges.
 """
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import minimize
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import LinearOperator, cg
 
 from . import quat, fields
@@ -28,6 +37,60 @@ from .sphere import ConformalMap, central_diff, pairwise_sum
 
 class CoulombError(RuntimeError):
     pass
+
+
+def _axis_slice(a, start, stop):
+    """Index of start:stop along lattice axis a (the leading four axes)."""
+    idx = [slice(None)] * 4
+    idx[a] = slice(start, stop)
+    return tuple(idx)
+
+
+def _scalar_part(w, h):
+    """sum_a D_a^T diag(w) D_a as an N x N CSR matrix with int32 indices.
+
+    D_a is the centred difference with zero padding, so row x couples x to
+    x -+ 2 e_a with weight -w(x -+ e_a) / 4h^2, and its diagonal sums
+    w(x -+ e_a) / 4h^2 over the neighbours inside the lattice.  The nine
+    slots of a row are in ascending column order."""
+    n = w.shape[0]
+    vals = np.zeros(w.shape + (9,))
+    for a in range(4):
+        lo, hi = _axis_slice(a, 0, -1), _axis_slice(a, 1, None)
+        vals[lo + (4,)] += w[hi]
+        vals[hi + (4,)] += w[lo]
+        mid = w[_axis_slice(a, 1, -1)]
+        vals[_axis_slice(a, 0, -2) + (8 - a,)] = -mid
+        vals[_axis_slice(a, 2, None) + (a,)] = -mid
+    vals = vals.reshape(w.size, 9) / (4.0 * h * h)
+    keep = vals != 0.0              # w > 0: the nonzeros are the stencil
+    stride = n ** np.arange(3, -1, -1)
+    offsets = np.concatenate([-2 * stride, [0], 2 * stride[::-1]])
+    cols = np.arange(w.size, dtype=np.int32)[:, None] + offsets.astype(np.int32)
+    indptr = np.zeros(w.size + 1, np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return csr_array((vals[keep], cols[keep], indptr), shape=(w.size, w.size))
+
+
+def _pointwise_part(w, gamma):
+    """The entries (xx, yy, zz, xy, xz, yz) of the symmetric 3 x 3 field
+    sum_a C_a^T W C_a = 4 W sum_a (|Gamma_a|^2 - Gamma_a Gamma_a^T)."""
+    P = np.einsum("...ai,...aj->...ij", gamma, gamma)
+    f = 4.0 * w
+    return np.stack([f * (P[..., 1, 1] + P[..., 2, 2]),
+                     f * (P[..., 0, 0] + P[..., 2, 2]),
+                     f * (P[..., 0, 0] + P[..., 1, 1]),
+                     -f * P[..., 0, 1], -f * P[..., 0, 2], -f * P[..., 1, 2]])
+
+
+def _edge_fields(w, gamma, h):
+    """Q_a(x) = (P_a(x) + P_a(x + e_a)) / 2h with P_a = W Gamma_a, one value
+    per lattice edge (x, x + e_a).  The cross terms
+    D_a^T W C_a + C_a^T W D_a of L act as
+      -[Q_a(x), sig(x + e_a)] + [Q_a(x - e_a), sig(x - e_a)]."""
+    p = w[..., None, None] * gamma
+    return [(p[_axis_slice(a, 0, -1) + (a,)] + p[_axis_slice(a, 1, None) + (a,)])
+            / (2.0 * h) for a in range(4)]
 
 
 class BasicChart:
@@ -48,18 +111,21 @@ class BasicChart:
         for a in range(4):
             diag += (np.roll(self.phi2, 1, axis=a) + np.roll(self.phi2, -1, axis=a))
         self._pdiag = diag / (4.0 * lat.h ** 2)
+        self._scalar = _scalar_part(self.phi2, lat.h)
+        self._pointwise = _pointwise_part(self.phi2, self.gamma)
+        self._edges = _edge_fields(self.phi2, self.gamma, lat.h)
 
-    def cov_grad(self, sig):
-        """(D sig)_a = d_a sig + [Gamma_a, sig]; sig extended by zero."""
-        h = self.lat.h
-        out = np.empty(self.lat.shape + (4, 3))
-        for a in range(4):
-            out[..., a, :] = central_diff(sig, a, h) \
-                + bracket(self.gamma[..., a, :], sig)
-        return out
+    @cached_property
+    def basic_curvature(self):
+        """Basic curvature at the nodes, (n,n,n,n,4,4,3); evaluated on first
+        use and then held (19 MB at n = 15)."""
+        lat = self.lat
+        return fields.basic_connection().curvature(lat.points) \
+            .reshape(lat.shape + (4, 4, 3))
 
     def divergence(self, ups):
-        """Exact transpose of cov_grad against the phi^2 weight.
+        """Exact transpose, against the phi^2 weight, of the covariant
+        gradient (D sig)_a = d_a sig + [Gamma_a, sig], sig extended by zero.
 
         Calibrated so divergence(D sig) tested against tau reproduces the
         round-metric pairing int <ups, D tau>_g dV; the continuum section it
@@ -72,7 +138,18 @@ class BasicChart:
         return acc
 
     def laplace(self, sig):
-        return self.divergence(self.cov_grad(sig))
+        """divergence(D sig), applied from the parts assembled at __init__."""
+        out = (self._scalar @ sig.reshape(-1, 3)).reshape(sig.shape)
+        m = self._pointwise
+        s0, s1, s2 = sig[..., 0], sig[..., 1], sig[..., 2]
+        out[..., 0] += m[0] * s0 + m[3] * s1 + m[4] * s2
+        out[..., 1] += m[3] * s0 + m[1] * s1 + m[5] * s2
+        out[..., 2] += m[4] * s0 + m[5] * s1 + m[2] * s2
+        for a, q in enumerate(self._edges):
+            lo, hi = _axis_slice(a, 0, -1), _axis_slice(a, 1, None)
+            out[lo] -= bracket(q, sig[hi])
+            out[hi] += bracket(q, sig[lo])
+        return out
 
     def oneform_norm(self, ups, interior_only=False):
         """L^2(dV_g) norm of a coordinate 1-form field on the lattice."""
@@ -135,10 +212,10 @@ def gauge_action_lattice(chart, sigma, pot):
     s = exp_im(sigma)
     s1 = s - quat.ONE
     sc = qconj(s)
-    out = conjugate_im(s[..., None, :], pot)
-    for a in range(4):
+    out = np.empty(pot.shape)
+    for a in range(4):      # per direction: no (..., 4, 4) quaternion temporaries
         ds = central_diff(s1, a, chart.lat.h)
-        out[..., a, :] += im_part(qmul(sc, ds))
+        out[..., a, :] = conjugate_im(s, pot[..., a, :]) + im_part(qmul(sc, ds))
     return out
 
 
@@ -181,6 +258,7 @@ def coulomb_project(c, lattice, tol=1.0e-8, max_outer=30, support_tol=0.05,
     ups0 = pot - ch.gamma
     sup_out = np.max(np.sqrt(np.sum(ups0 * ups0, axis=(-2, -1)))[~ch.interior],
                      initial=0.0)
+    del ups0                # read by the gate only; not held through the solves
     if sup_out > support_tol:
         raise ValueError("perturbation not supported in |zeta| <= 0.8R "
                          "(sup %.3g outside)" % sup_out)
@@ -233,9 +311,9 @@ def curvature_distance(c, result):
     lat = result.lattice
     F = c.curvature(lat.points).reshape(lat.shape + (4, 4, 3))
     s = result.transform_values()
-    F = conjugate_im(s[..., None, None, :], F)
-    F0 = fields.basic_connection().curvature(lat.points).reshape(lat.shape + (4, 4, 3))
-    dF = F - F0
+    for a in range(4):      # per direction: no (..., 4, 4, 4) quaternion temporaries
+        F[..., a, :, :] = conjugate_im(s[..., None, :], F[..., a, :, :])
+    dF = F - _chart(lat).basic_curvature
     # |F|^2_g dV_g = |F|^2_coord dzeta (the conformal weights cancel)
     return np.sqrt(pairwise_sum(np.sum(dF * dF, axis=(-3, -2, -1))) * lat.h ** 4)
 

@@ -20,14 +20,54 @@ def _windowed_sigma(seed, amp=0.15):
     return (sig(LAT.points) * win[:, None]).reshape(LAT.shape + (3,))
 
 
+def oracle_cov_grad(ch, sig):
+    """(D sig)_a = d_a sig + [Gamma_a, sig]; sig extended by zero."""
+    h = ch.lat.h
+    out = np.empty(ch.lat.shape + (4, 3))
+    for a in range(4):
+        out[..., a, :] = sphere.central_diff(sig, a, h) \
+            + quat.bracket(ch.gamma[..., a, :], sig)
+    return out
+
+
+def oracle_gauge_action(ch, sigma, pot):
+    """gauge_action_lattice with the adjoint action on all four directions
+    at once."""
+    s = quat.exp_im(sigma)
+    sc = quat.qconj(s)
+    out = quat.conjugate_im(s[..., None, :], pot)
+    for a in range(4):
+        ds = sphere.central_diff(s - quat.ONE, a, ch.lat.h)
+        out[..., a, :] += quat.im_part(quat.qmul(sc, ds))
+    return out
+
+
 def test_divergence_is_adjoint_of_gradient():
     ch = _chart()
     sig = rng.normal(size=LAT.shape + (3,))
     ups = rng.normal(size=LAT.shape + (4, 3))
     phi2 = ch.phi2
-    lhs = np.sum(ch.cov_grad(sig) * (phi2[..., None, None] * ups))
+    lhs = np.sum(oracle_cov_grad(ch, sig) * (phi2[..., None, None] * ups))
     rhs = np.sum(sig * ch.divergence(ups))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [7, 11])
+def test_laplace_is_divergence_of_gradient(n):
+    lat = Lattice4D(3.0, n)
+    ch = coulomb._chart(lat)
+    sig = rng.normal(size=lat.shape + (3,))
+    want = ch.divergence(oracle_cov_grad(ch, sig))
+    got = ch.laplace(sig)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_laplace_is_symmetric():
+    ch = _chart()
+    x = rng.normal(size=LAT.shape + (3,))
+    y = rng.normal(size=LAT.shape + (3,))
+    assert np.sum(ch.laplace(x) * y) == pytest.approx(
+        np.sum(x * ch.laplace(y)), rel=1e-12)
 
 
 def test_laplacian_spd():
@@ -35,6 +75,30 @@ def test_laplacian_spd():
     for _ in range(3):
         sig = rng.normal(size=LAT.shape + (3,))
         assert np.sum(sig * ch.laplace(sig)) > 0
+
+
+def test_curvature_distance_per_direction_is_bitwise():
+    # the adjoint action on all four directions at once is the oracle
+    c = fields.pullback(sphere.ConformalMap(xi2=np.array([0.1, 0.0, -0.05, 0.02]),
+                                            lam=1.05), fields.basic_connection())
+    res = coulomb.coulomb_project(c, tol=1e-6, lattice=LAT, support_tol=0.2)
+    F = c.curvature(LAT.points).reshape(LAT.shape + (4, 4, 3))
+    s = res.transform_values()
+    dF = quat.conjugate_im(s[..., None, None, :], F) - fields.basic_connection() \
+        .curvature(LAT.points).reshape(LAT.shape + (4, 4, 3))
+    want = np.sqrt(sphere.pairwise_sum(np.sum(dF * dF, axis=(-3, -2, -1)))
+                   * LAT.h ** 4)
+    assert coulomb.curvature_distance(c, res) == want
+
+
+def test_basic_curvature_is_lazy_and_exact():
+    lat = Lattice4D(3.0, 5)
+    ch = coulomb.BasicChart(lat)
+    assert "basic_curvature" not in vars(ch)
+    F0 = ch.basic_curvature
+    want = fields.basic_connection().curvature(lat.points)
+    assert np.array_equal(F0, want.reshape(lat.shape + (4, 4, 3)))
+    assert ch.basic_curvature is F0
 
 
 def test_trivial_projection_is_exact():
@@ -63,6 +127,15 @@ def test_residual_contraction():
     res = coulomb.coulomb_project(dec, tol=1e-10, lattice=LAT)
     for a, b in zip(res.residuals, res.residuals[1:]):
         assert b < a
+
+
+def test_gauge_action_per_direction_is_bitwise():
+    lat = Lattice4D(3.0, 7)
+    ch = coulomb._chart(lat)
+    sigma = rng.normal(size=lat.shape + (3,))
+    pot = rng.normal(size=lat.shape + (4, 3))
+    assert np.array_equal(coulomb.gauge_action_lattice(ch, sigma, pot),
+                          oracle_gauge_action(ch, sigma, pot))
 
 
 def test_gauge_action_lattice_identity():

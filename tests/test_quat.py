@@ -51,8 +51,9 @@ def test_inverse(a):
 
 @st.composite
 def bracket_pairs(draw):
-    """Im H arrays of mutually broadcastable shapes (..., 3); the first is
-    cov_grad's strided gamma[..., a, :] slice of a (..., 4, 3) array."""
+    """Im H arrays of mutually broadcastable shapes (..., 3); the first is a
+    strided gamma[..., a, :] slice of a (..., 4, 3) array, as
+    BasicChart.divergence passes it."""
     shapes = draw(mutually_broadcastable_shapes(
         signature="(3),(3)->(3)", max_dims=3, max_side=3))
     sa, sb = shapes.input_shapes
