@@ -35,6 +35,9 @@ from .quat import bracket, conjugate_im, exp_im, im_part, qconj, qmul
 from .sphere import ConformalMap, central_diff, pairwise_sum
 
 
+MAX_OUTER = 30          # outer defect-correction iterations before giving up
+
+
 class CoulombError(RuntimeError):
     pass
 
@@ -245,7 +248,7 @@ class CoulombResult:
             w.writerow([k, "%.17g" % res, it, "%.17g" % self.sigma_sup[k]])
 
 
-def coulomb_project(c, lattice, tol=1.0e-8, max_outer=30, support_tol=0.05,
+def coulomb_project(c, lattice, tol=1.0e-8, support_tol=0.05,
                     cg_rtol=1.0e-10, sigma0=None):
     """Project a connection onto the Coulomb slice through the basic one.
 
@@ -270,7 +273,7 @@ def coulomb_project(c, lattice, tol=1.0e-8, max_outer=30, support_tol=0.05,
     damping, increases = 1.0, 0
     prev = np.inf
     converged = False
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         act = gauge_action_lattice(ch, sigma, pot)
         rho = ch.divergence(act - ch.gamma)
         res = ch.section_norm(rho)
@@ -293,7 +296,7 @@ def coulomb_project(c, lattice, tol=1.0e-8, max_outer=30, support_tol=0.05,
         prev = res
     if not converged:
         raise CoulombError("max-outer-exceeded: residual %.3g > tol %.3g "
-                           "after %d iterations" % (residuals[-1], tol, max_outer))
+                           "after %d iterations" % (residuals[-1], tol, MAX_OUTER))
     return CoulombResult(sigma, fields.LatticeField(lat, act), residuals,
                          cg_iters, sups, damping, converged)
 

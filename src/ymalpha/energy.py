@@ -3,7 +3,7 @@
 Dispatch: models whose |F|^2_g is radially symmetric about the origin use the
 spectrally convergent 1D theta-quadrature; centered-at-xi instanton integrands
 are flat-measure translation invariant and use a recentered/rescaled radial
-grid; lattice fields use the 4D sum (coarser, residual reported).
+grid.  Other models have no quadrature route and raise ValueError.
 """
 
 import json
@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import sphere, fields
-from .sphere import RadialGrid, _doubling, pairwise_sum
+from .sphere import RadialGrid, _doubling
 
 BASIC_YM_ALPHA = lambda alpha: 6.0 ** alpha * (4.0 / 3.0) * np.pi ** 2
 
@@ -42,21 +42,16 @@ def _report(value, residual, alpha, lam, grid):
 
 
 def _integrate(model, integrand, alpha, lam, n):
-    """(1/2) int integrand(zeta, |F|^2_g) dV_g: the 4D sum on a lattice
-    field, else the doubled radial quadrature (on the axis) of a radially
-    symmetric model."""
-    def half(grid, pts):
-        return 0.5 * grid.integrate_round(integrand(pts, f_norm2_g(model, pts)))
-    if isinstance(model, fields.LatticeField):
-        lat = model.lattice
-        v = half(lat, lat.points)
-        return _report(v, abs(v) * lat.h ** 2, alpha, lam, "lattice%d" % lat.n)
+    """(1/2) int integrand(zeta, |F|^2_g) dV_g by the doubled radial
+    quadrature (on the axis) of a radially symmetric model."""
     if not model.is_radial:
-        raise ValueError("no quadrature route for this model; sample to a lattice")
+        raise ValueError("no quadrature route for this model: "
+                         "|F|^2_g is not radially symmetric")
 
     def val(m):
         g = RadialGrid(m)
-        return half(g, g.axis_points())
+        pts = g.axis_points()
+        return 0.5 * g.integrate_round(integrand(pts, f_norm2_g(model, pts)))
     v, res = _doubling(val, n)
     return _report(v, res, alpha, lam, "radial%d" % (2 * n))
 
@@ -104,16 +99,13 @@ def charge_density_coord(F):
 
 def topological_charge(model, n=96):
     """(1/8 pi^2) int (|F-|^2 - |F+|^2) dzeta (conformal weights cancel)."""
-    if isinstance(model, fields.LatticeField):
-        lat = model.lattice
-        q = charge_density_coord(model.curvature(lat.points))
-        return pairwise_sum(q * lat.h ** 4) / (8.0 * np.pi ** 2)
     if isinstance(model, fields.Adhm):
         center, scale = model.xi, model.lam
     elif model.is_radial:
         center, scale = None, 1.0
     else:
-        raise ValueError("no quadrature route for this model; sample to a lattice")
+        raise ValueError("no quadrature route for this model: "
+                         "|F|^2_g is not radially symmetric")
 
     g = RadialGrid(2 * n)
     pts = g.axis_points(center=center, scale=scale)

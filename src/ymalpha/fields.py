@@ -1,6 +1,6 @@
 """Connection models: instanton family, radial ansatz, gauge transforms,
-conformal pullbacks, lattice fields, and the curvature formula
-F_ij = d_i A_j - d_j A_i + [A_i, A_j] with its lattice form.
+conformal pullbacks, lattice fields (node values of a potential), and the
+curvature formula F_ij = d_i A_j - d_j A_i + [A_i, A_j].
 
 All potentials are chart-coordinate 1-forms with values in Im H, evaluated in
 batches: potential(zeta) -> (N, 4, 3), curvature(zeta) -> (N, 4, 4, 3).
@@ -11,7 +11,7 @@ from scipy.interpolate import CubicSpline
 
 from . import quat, sphere
 from .quat import qmul, qconj, qnorm2, im_part, exp_im, conjugate_im
-from .sphere import RadialGrid, central_diff, partials
+from .sphere import RadialGrid, partials
 
 
 def v_field(zeta):
@@ -120,11 +120,6 @@ class RadialProfile(ConnectionModel):
         self._spl = CubicSpline(knots, vals)
         self._dspl = self._spl.derivative()
 
-    @classmethod
-    def basic(cls):
-        grid = RadialGrid(64)
-        return cls(grid.theta, np.ones(grid.n))
-
     def _g_dg(self, s):
         th = 2.0 * np.arctan(np.sqrt(np.maximum(s, 0.0)))
         return self._spl(th), self._dspl(th)
@@ -215,9 +210,7 @@ class Pulledback(ConnectionModel):
 
     @property
     def is_radial(self):
-        centered = (np.all(self.cmap.xi1 == 0.0)
-                    and np.all(self.cmap.xi2 == 0.0))
-        return bool(self.base.is_radial and centered)
+        return bool(self.base.is_radial and np.all(self.cmap.xi2 == 0.0))
 
     def potential(self, zeta):
         zeta = np.asarray(zeta, float)
@@ -233,36 +226,22 @@ class Pulledback(ConnectionModel):
 
 
 class LatticeField(ConnectionModel):
-    """Connection sampled on a Lattice4D; potential defined at lattice nodes."""
+    """Connection given by its potential at the nodes of a Lattice4D."""
 
     def __init__(self, lattice, values):
         self.lattice = lattice
         values = np.asarray(values, float)
-        if values.shape == (lattice.points.shape[0], 4, 3):
-            values = values.reshape(lattice.shape + (4, 3))
         if values.shape != lattice.shape + (4, 3):
-            raise ValueError("values must be (n^4, 4, 3) or grid-shaped")
+            raise ValueError("values must be grid-shaped (n, n, n, n, 4, 3)")
         self.values = values
 
-    @classmethod
-    def sample(cls, model, lattice):
-        return cls(lattice, model.potential(lattice.points))
-
-    def _nodes(self, zeta):
-        """Grid index tuple of the lattice nodes nearest to zeta."""
+    def potential(self, zeta):
+        """Values at the lattice nodes nearest to zeta (exact at nodes)."""
         lat = self.lattice
         idx = np.rint((np.asarray(zeta, float) + lat.R) / lat.h).astype(int)
         if np.any(idx < 0) or np.any(idx >= lat.n):
             raise ValueError("point outside lattice")
-        return idx[..., 0], idx[..., 1], idx[..., 2], idx[..., 3]
-
-    def potential(self, zeta):
-        # exact only at lattice nodes; locate by rounding
-        return self.values[self._nodes(zeta)]
-
-    def curvature(self, zeta):
-        """Node values of lattice_curvature at the nodes nearest to zeta."""
-        return lattice_curvature(self)[self._nodes(zeta)]
+        return self.values[idx[..., 0], idx[..., 1], idx[..., 2], idx[..., 3]]
 
 
 def gauge_act(transform, model):
@@ -323,11 +302,3 @@ def curvature_from(A, dA):
     and their partials dA (..., i, j, 3) = d_i A_j."""
     return dA - np.swapaxes(dA, -3, -2) \
         + quat.bracket(A[..., :, None, :], A[..., None, :, :])
-
-
-def lattice_curvature(model):
-    """Curvature of a LatticeField on its own grid (centred differences)."""
-    A = model.values  # (n,n,n,n,4,3)
-    dA = np.stack([central_diff(A, a, model.lattice.h) for a in range(4)],
-                  axis=-3)
-    return curvature_from(A, dA)

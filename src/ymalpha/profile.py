@@ -8,8 +8,7 @@ G(sigma) with sigma = (alpha-1) log(lam), G(0) = 1, and the gap
 U(alpha, lam) = E - E(lam=1) = BASIC_YM_ALPHA(alpha) (G - 1).
 """
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +30,6 @@ class ProfilePoint:
     gap: float
     dE_dloglambda: float
     residual: float
-
-    def to_json(self):
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        return json.dumps(d, indent=1, sort_keys=True)
 
 
 @dataclass
@@ -65,16 +59,6 @@ class ChiNormReport:
 # quadrature helpers
 # ---------------------------------------------------------------------------
 
-def _logcosh(x):
-    x = np.abs(x)
-    return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
-
-
-def _logsinh(x):
-    # x > 0
-    return x + np.log1p(-np.exp(-2.0 * x)) - np.log(2.0)
-
-
 def _coshdiff(tau, t):
     """cosh(tau) - cosh(t) = 2 sinh((tau+t)/2) sinh((tau-t)/2), stable as t->tau."""
     return 2.0 * np.sinh(0.5 * (tau + t)) * np.sinh(0.5 * (tau - t))
@@ -86,7 +70,7 @@ def _check_al(alpha, lam):
     if lam < 1.0:
         raise ValueError("lambda must be >= 1 (use the 1/lambda symmetry)")
     if lam > LAMBDA_OVERFLOW:
-        raise OverflowError("lambda > 1e6; evaluate G_of_sigma in log space")
+        raise OverflowError("lambda must be <= 1e6")
 
 
 # ---------------------------------------------------------------------------
@@ -150,16 +134,9 @@ def pullback_energy(alpha, lam, route="hyperbolic", n=96, with_residual=False):
 def _G_tau(tau, beta, n):
     """G as a function of tau = log(lam): 3 sinh(tau)^-3 times the t-integral."""
     t, w = gauss_legendre(n, 0.0, tau)
-    if tau <= 30.0:
-        f = np.cosh(2.0 * t) ** (1.0 + beta) * np.cosh(2.0 * beta * t) \
-            * _coshdiff(tau, t)
-        return 3.0 * pairwise_sum(f * w) / np.sinh(tau) ** 3
-    # log-space: cosh(tau) - cosh(t) = cosh(tau)(1 - cosh(t)/cosh(tau))
-    lf = (1.0 + beta) * _logcosh(2.0 * t) + _logcosh(2.0 * beta * t) \
-        + _logcosh(tau) + np.log1p(-np.exp(_logcosh(t) - _logcosh(tau))) \
-        - 3.0 * _logsinh(tau)
-    m = np.max(lf)
-    return 3.0 * np.exp(m) * pairwise_sum(np.exp(lf - m) * w)
+    f = np.cosh(2.0 * t) ** (1.0 + beta) * np.cosh(2.0 * beta * t) \
+        * _coshdiff(tau, t)
+    return 3.0 * pairwise_sum(f * w) / np.sinh(tau) ** 3
 
 
 def G_of_sigma(sigma, beta, n=96, with_residual=False):
@@ -182,22 +159,10 @@ def G_prime(sigma, beta, n=96):
     tau = sigma / beta
     alpha = 1.0 + beta
     t, w = gauss_legendre(2 * n, 0.0, tau)
-    if tau <= 30.0:
-        f = np.cosh(2.0 * t) ** (beta - 1.0) * np.sinh(2.0 * alpha * t) \
-            * np.sinh(t) * _coshdiff(tau, t) \
-            * (2.0 * np.cosh(tau) * np.cosh(t) - 1.0)
-        return 6.0 * pairwise_sum(f * w) / np.sinh(tau) ** 4
-    lf = np.full_like(t, -np.inf)
-    pos = t > 0.0
-    tp = t[pos]
-    lf[pos] = (beta - 1.0) * _logcosh(2.0 * tp) \
-        + _logsinh(2.0 * alpha * tp) + _logsinh(tp) \
-        + _logcosh(tau) + np.log1p(-np.exp(_logcosh(tp) - _logcosh(tau))) \
-        + np.log(2.0) + _logcosh(tau) + _logcosh(tp) \
-        + np.log1p(-np.exp(-np.log(2.0) - _logcosh(tau) - _logcosh(tp))) \
-        - 4.0 * _logsinh(tau)
-    m = np.max(lf)
-    return 6.0 * np.exp(m) * pairwise_sum(np.exp(lf - m) * w)
+    f = np.cosh(2.0 * t) ** (beta - 1.0) * np.sinh(2.0 * alpha * t) \
+        * np.sinh(t) * _coshdiff(tau, t) \
+        * (2.0 * np.cosh(tau) * np.cosh(t) - 1.0)
+    return 6.0 * pairwise_sum(f * w) / np.sinh(tau) ** 4
 
 
 def gap(alpha, lam, n=96):
@@ -236,7 +201,7 @@ def dE_dloglambda_general(model, alpha, lam, n=96):
     """d/dlog(lam) of YM_{alpha,lam}(model) for radially symmetric models."""
     _check_al(alpha, lam)
     if not model.is_radial:
-        raise ValueError("radial route only; sample to a lattice elsewhere")
+        raise ValueError("radial route only: |F|^2_g must be radially symmetric")
     g = sphere.RadialGrid(2 * n)
     pts = g.axis_points()
     f2g = energy.f_norm2_g(model, pts)

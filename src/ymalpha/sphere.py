@@ -56,10 +56,9 @@ def rotation_matrix(p, q):
 
 @dataclass(frozen=True)
 class ConformalMap:
-    """Conformal automorphism zeta -> xi2 + lam * rho(zeta - xi1).
+    """Conformal automorphism zeta -> xi2 + lam * rho(zeta).
 
     rho is the rotation u -> p u conj(q)."""
-    xi1: np.ndarray = field(default_factory=lambda: np.zeros(4))
     xi2: np.ndarray = field(default_factory=lambda: np.zeros(4))
     lam: float = 1.0
     p: np.ndarray = field(default_factory=lambda: quat.ONE.copy())
@@ -70,8 +69,7 @@ class ConformalMap:
             raise ValueError("dilation factor must be positive")
 
     def apply(self, zeta):
-        u = np.asarray(zeta, float) - self.xi1
-        return self.xi2 + self.lam * qmul(qmul(self.p, u), qconj(self.q))
+        return self.xi2 + self.lam * qmul(qmul(self.p, zeta), qconj(self.q))
 
     def jacobian(self, zeta):
         """J[..., i, j] = d phi^j / d zeta^i."""
@@ -92,8 +90,7 @@ def rotation(p, q):
 # Hodge star / (anti)self-dual splitting
 # ---------------------------------------------------------------------------
 
-# ordered index pairs of a 2-form and their Hodge duals, eps_{1234} = +1
-_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+# each ordered index pair of a 2-form and its Hodge dual, eps_{1234} = +1
 _DUAL = {(0, 1): ((2, 3), +1.0), (0, 2): ((1, 3), -1.0), (0, 3): ((1, 2), +1.0),
          (1, 2): ((0, 3), +1.0), (1, 3): ((0, 2), -1.0), (2, 3): ((0, 1), +1.0)}
 
@@ -188,9 +185,6 @@ class Lattice4D:
         self.r2 = qnorm2(self.points)
         self.weights = round_weight(self.points) * self.h ** 4
         self.shape = (self.n,) * 4
-
-    def integrate_round(self, values):
-        return pairwise_sum(np.asarray(values).ravel() * self.weights)
 
 
 # ---------------------------------------------------------------------------

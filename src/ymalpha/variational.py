@@ -10,8 +10,6 @@ discrete adjointness and finite-difference energy-gradient oracles in the
 test suite.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import sphere, fields
@@ -93,19 +91,6 @@ def exterior_d(fn, model, zeta, h=FD_STEP):
 # gradient of the twisted alpha-energy
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GradientField:
-    """Frame components of the alpha-energy gradient at sample points.
-
-    total = prefactor * (dstarF + theta1 + theta2); the first variation obeys
-    dE(V) = int <2 alpha total, V>_g dV_g for compactly supported V."""
-    dstarF: np.ndarray
-    theta1: np.ndarray
-    theta2: np.ndarray
-    prefactor: np.ndarray
-    total: np.ndarray
-
-
 def _dlogchi(zeta, lam):
     """Chart partials of log chi_lambda (analytic), shape (..., 4)."""
     s = sphere.r2(zeta)[..., None]
@@ -113,7 +98,12 @@ def _dlogchi(zeta, lam):
 
 
 def gradient_ym_alpha_lambda(model, alpha, lam, zeta, h=FD_STEP):
-    """Gradient of (1/2) int (3 + chi |F|^2_g)^alpha / chi at given points."""
+    """Gradient of (1/2) int (3 + chi |F|^2_g)^alpha / chi at given points.
+
+    Frame components G = (3 + chi |F|^2_g)^(alpha-1) (D*F + theta1 + theta2),
+    shape (..., 4, 3), with theta1, theta2 the terms in e_a(|F|^2_g) and
+    e_a(log chi) below; the first variation obeys
+    dE(V) = int <2 alpha G, V>_g dV_g for compactly supported V."""
     if alpha < 1 or lam <= 0:
         raise ValueError("need alpha >= 1 and lambda > 0")
     zeta = np.asarray(zeta, float)
@@ -133,9 +123,7 @@ def gradient_ym_alpha_lambda(model, alpha, lam, zeta, h=FD_STEP):
     th1 = -coef[..., None, None] * np.einsum("...a,...abm->...bm", ef2, Fh)
     th2 = -(coef * f2)[..., None, None] * np.einsum("...a,...abm->...bm",
                                                     elog, Fh)
-    pref = denom ** (alpha - 1.0)
-    total = pref[..., None, None] * (ds + th1 + th2)
-    return GradientField(ds, th1, th2, pref, total)
+    return (denom ** (alpha - 1.0))[..., None, None] * (ds + th1 + th2)
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def check_variational(cfg, rng):
         uval = bump[0] * np.exp(-((np.log(s) - bump[1]) / bump[2]) ** 2)
         vhat = (sphere.frame_scale(pts) * uval / (1.0 + s))[:, None, None] \
             * fields.v_field(pts)
-        integrand = 2.0 * alpha * np.sum(G.total * vhat, axis=(-2, -1))
+        integrand = 2.0 * alpha * np.sum(G * vhat, axis=(-2, -1))
         an = qg.integrate_round(integrand)
         worst = max(worst, abs(an - fd) / max(abs(fd), 1e-12))
     # D*F stencil order on a smooth non-critical profile (Richardson), plus

@@ -180,12 +180,13 @@ def test_support_gate():
         coulomb.coulomb_project(bad, lattice=LAT)
 
 
-def test_max_outer_error():
+def test_max_outer_error(monkeypatch):
+    monkeypatch.setattr(coulomb, "MAX_OUTER", 2)
     ch = _chart()
     dec = fields.LatticeField(
         LAT, coulomb.gauge_action_lattice(ch, _windowed_sigma(4), ch.gamma))
     with pytest.raises(coulomb.CoulombError, match="max-outer-exceeded"):
-        coulomb.coulomb_project(dec, tol=1e-16, max_outer=2, lattice=LAT)
+        coulomb.coulomb_project(dec, tol=1e-16, lattice=LAT)
 
 
 def test_write_log_schema(tmp_path):

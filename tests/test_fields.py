@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ymalpha import energy, fields, quat, sphere
-from ymalpha.sphere import Lattice4D
+from ymalpha.sphere import Lattice4D, RadialGrid
 
 rng = np.random.default_rng(11)
 
@@ -26,7 +26,8 @@ def test_adhm_curvature_matches_fd():
 
 def test_radial_profile_reproduces_instanton():
     # g = 1 samples give f = 1/(1+s): the basic instanton
-    prof = fields.RadialProfile.basic()
+    grid = RadialGrid(64)
+    prof = fields.RadialProfile(grid.theta, np.ones(grid.n))
     basic = fields.basic_connection()
     pts = rng.normal(scale=1.2, size=(30, 4))
     assert np.allclose(prof.potential(pts), basic.potential(pts), atol=1e-9)
@@ -100,7 +101,8 @@ def test_constant_gauge_trivial_on_flat():
 
 def test_lattice_field_node_lookup():
     lat = Lattice4D(2.0, 7)
-    lf = fields.LatticeField.sample(fields.basic_connection(), lat)
+    lf = fields.LatticeField(lat, fields.basic_connection().potential(
+        lat.points).reshape(lat.shape + (4, 3)))
     # node lookup is exact
     assert np.allclose(lf.potential(lat.points[123]),
                        fields.basic_connection().potential(lat.points[123]))
@@ -108,24 +110,12 @@ def test_lattice_field_node_lookup():
         lf.potential(np.array([5.0, 0, 0, 0]))
 
 
-def test_lattice_field_curvature():
-    # node values of lattice_curvature, which carries the differences of
-    # the potential (a nearest-node finite difference would drop them)
-    lat = Lattice4D(3.0, 13)
-    b = fields.basic_connection()
-    lf = fields.LatticeField.sample(b, lat)
-    F = lf.curvature(lat.points)
-    inner = np.all(np.abs(lat.points) < lat.R - 0.5 * lat.h, axis=-1)
-    err = np.max(np.abs(F - b.curvature(lat.points))[inner])
-    assert err < 0.5     # |F| reaches 2 at the origin; h = 0.5
-    assert np.array_equal(F, fields.lattice_curvature(lf).reshape(-1, 4, 4, 3))
-    assert np.array_equal(lf.curvature(lat.points[123]), F[123])
-
-
 def test_lattice_field_shape_validation():
     lat = Lattice4D(2.0, 5)
     with pytest.raises(ValueError):
         fields.LatticeField(lat, np.zeros((3, 4, 3)))
+    with pytest.raises(ValueError, match="grid-shaped"):
+        fields.LatticeField(lat, np.zeros((lat.points.shape[0], 4, 3)))
 
 
 def test_random_connection_is_radial():

@@ -41,10 +41,10 @@ def _closure_check(profile, alpha):
     G = variational.gradient_ym_alpha_lambda(profile, alpha, 1.0, pts, h=1e-4)
     vh = sphere.frame_scale(pts)[:, None, None] * fields.v_field(pts)
     v2 = np.sum(vh * vh, axis=(-2, -1))
-    coef = np.sum(G.total * vh, axis=(-2, -1)) / v2
-    resid = G.total - coef[:, None, None] * vh
+    coef = np.sum(G * vh, axis=(-2, -1)) / v2
+    resid = G - coef[:, None, None] * vh
     num = pairwise_sum(np.sum(resid * resid, axis=(-2, -1)) * lat.weights)
-    den = pairwise_sum(np.sum(G.total * G.total, axis=(-2, -1)) * lat.weights)
+    den = pairwise_sum(np.sum(G * G, axis=(-2, -1)) * lat.weights)
     return np.sqrt(num / den) if den > 0 else 0.0
 
 

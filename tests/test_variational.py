@@ -86,7 +86,7 @@ def test_gradient_vanishes_at_critical_point():
     for alpha, lam in [(1.3, 1.0), (1.7, 1.0)]:
         G = variational.gradient_ym_alpha_lambda(
             fields.basic_connection(), alpha, lam, pts, h=1e-3)
-        assert np.max(np.abs(G.total)) < 1e-9
+        assert np.max(np.abs(G)) < 1e-9
 
 
 def test_gradient_matches_energy_fd():
@@ -105,7 +105,7 @@ def test_gradient_matches_energy_fd():
     uval = bump[0] * np.exp(-((np.log(qg.s) - bump[1]) / bump[2]) ** 2)
     vhat = (sphere.frame_scale(pts) * uval / (1 + qg.s))[:, None, None] \
         * fields.v_field(pts)
-    an = qg.integrate_round(2 * alpha * np.sum(G.total * vhat, axis=(-2, -1)))
+    an = qg.integrate_round(2 * alpha * np.sum(G * vhat, axis=(-2, -1)))
     assert an == pytest.approx(fd, rel=1e-3)
 
 
