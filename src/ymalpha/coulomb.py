@@ -32,7 +32,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from . import quat, fields
 from .quat import bracket, conjugate_im, exp_im, im_part, qconj, qmul
-from .sphere import ConformalMap, central_diff, pairwise_sum
+from .sphere import ConformalMap, central_diff, pairwise_sum, round_weight
 
 
 MAX_OUTER = 30          # outer defect-correction iterations before giving up
@@ -107,7 +107,7 @@ class BasicChart:
             .reshape(lat.shape + (4, 3))
         r2 = lat.r2.reshape(lat.shape)
         self.phi2 = 4.0 / (1.0 + r2) ** 2          # 1-form L^2 weight
-        self.rw = 16.0 / (1.0 + r2) ** 4           # volume density
+        self.rw = round_weight(pts).reshape(lat.shape)
         self.interior = r2 <= (0.8 * lat.R) ** 2
         # Jacobi preconditioner: diagonal of the pure -D(phi^2 D) part
         diag = np.zeros(lat.shape)
@@ -192,12 +192,13 @@ class BasicChart:
         return x.reshape(shape), count[0]
 
 
-_charts = {}
+_charts = {}    # at most one chart: no caller alternates lattices
 
 
 def _chart(lattice):
     key = (lattice.R, lattice.n)
     if key not in _charts:
+        _charts.clear()         # free the last chart before building the next
         _charts[key] = BasicChart(lattice)
     return _charts[key]
 
@@ -372,8 +373,7 @@ def _z_value(c, lam, xi, lat, tol, sigma0=None):
     pulled = fields.pullback(cmap, c)
     res = coulomb_project(pulled, tol=tol, lattice=lat, support_tol=0.2,
                           cg_rtol=1.0e-8, sigma0=sigma0)
-    ch = _chart(lat)
-    zu = ch.oneform_norm(res.connection.values - ch.gamma) ** 2
+    zu = distance_to_basic(res) ** 2
     zf = curvature_distance(pulled, res) ** 2
     return cmap, zf + zu, zf, zu, res.sigma
 

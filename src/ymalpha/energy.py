@@ -1,9 +1,11 @@
 """Energy functionals, curvature L^p norms, and the topological charge.
 
-Dispatch: models whose |F|^2_g is radially symmetric about the origin use the
-spectrally convergent 1D theta-quadrature; centered-at-xi instanton integrands
-are flat-measure translation invariant and use a recentered/rescaled radial
-grid.  Other models have no quadrature route and raise ValueError.
+Two routes.  The alpha-energies integrate against the round measure by the
+spectrally convergent 1D theta-quadrature on the axis of a model whose
+|F|^2_g is radially symmetric about the origin.  The Yang-Mills energy and the
+charge are conformally invariant, so they integrate flat-measure densities
+along the model's ray, recentred and rescaled for an off-centre instanton.
+Other models have no quadrature route and raise ValueError.
 """
 
 import json
@@ -41,33 +43,29 @@ def _report(value, residual, alpha, lam, grid):
                         float(residual), grid)
 
 
-def _integrate(model, integrand, alpha, lam, n):
-    """(1/2) int integrand(zeta, |F|^2_g) dV_g by the doubled radial
-    quadrature (on the axis) of a radially symmetric model."""
-    if not model.is_radial:
+def _flat_ray(model, density, m):
+    """int density(F) dzeta on RadialGrid(m) along the model's ray: the
+    recentred and rescaled ray of an Adhm, the origin's for a radial model.
+
+    The density must be flat-measure translation and scale covariant, as
+    |F|^2 dzeta = |F|^2_g dV_g and the charge density are."""
+    if isinstance(model, fields.Adhm):
+        center, scale = model.xi, model.lam
+    elif model.is_radial:
+        center, scale = None, 1.0
+    else:
         raise ValueError("no quadrature route for this model: "
                          "|F|^2_g is not radially symmetric")
-
-    def val(m):
-        g = RadialGrid(m)
-        pts = g.axis_points()
-        return 0.5 * g.integrate_round(integrand(pts, f_norm2_g(model, pts)))
-    v, res = _doubling(val, n)
-    return _report(v, res, alpha, lam, "radial%d" % (2 * n))
+    g = RadialGrid(m)
+    pts = g.axis_points(center=center, scale=scale)
+    return scale ** 4 * g.integrate_flat(density(model.curvature(pts)))
 
 
 def ym_energy(model, n=96):
-    """(1/2) int |F|^2_g dV_g."""
-    if isinstance(model, fields.Adhm) and not model.is_radial:
-        # |F|^2_g dV_g = |F|^2 dzeta: translation/scale invariant flat measure
-        def val(m):
-            g = RadialGrid(m)
-            pts = g.axis_points(center=model.xi, scale=model.lam)
-            f2 = sphere.f_norm2_coord(model.curvature(pts))
-            return 0.5 * model.lam ** 4 * g.integrate_flat(f2)
-        v, res = _doubling(val, n)
-        return _report(v, res, 1.0, 1.0, "radial%d@xi" % (2 * n))
-    return _integrate(model, lambda zeta, f2: f2, 1.0, 1.0, n)
+    """(1/2) int |F|^2_g dV_g = (1/2) int |F|^2 dzeta (conformal invariance)."""
+    v, res = _doubling(
+        lambda m: 0.5 * _flat_ray(model, sphere.f_norm2_coord, m), n)
+    return _report(v, res, 1.0, 1.0, "flat%d" % (2 * n))
 
 
 def ym_alpha(model, alpha, n=96):
@@ -76,14 +74,22 @@ def ym_alpha(model, alpha, n=96):
 
 
 def ym_alpha_lambda(model, alpha, lam, n=96):
-    """(1/2) int (3 + chi_lam |F|^2_g)^alpha chi_lam^{-1} dV_g."""
+    """(1/2) int (3 + chi_lam |F|^2_g)^alpha chi_lam^{-1} dV_g by the doubled
+    radial quadrature (on the axis) of a radially symmetric model."""
     if alpha < 1 or lam <= 0:
         raise ValueError("need alpha >= 1 and lambda > 0")
+    if not model.is_radial:
+        raise ValueError("no quadrature route for this model: "
+                         "|F|^2_g is not radially symmetric")
 
-    def dens(zeta, f2):
-        chi = sphere.chi_lambda(zeta, lam)
-        return (3.0 + chi * f2) ** alpha / chi
-    return _integrate(model, dens, alpha, lam, n)
+    def val(m):
+        g = RadialGrid(m)
+        pts = g.axis_points()
+        chi = sphere.chi_lambda(pts, lam)
+        dens = (3.0 + chi * f_norm2_g(model, pts)) ** alpha / chi
+        return 0.5 * g.integrate_round(dens)
+    v, res = _doubling(val, n)
+    return _report(v, res, alpha, lam, "radial%d" % (2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -99,19 +105,7 @@ def charge_density_coord(F):
 
 def topological_charge(model, n=96):
     """(1/8 pi^2) int (|F-|^2 - |F+|^2) dzeta (conformal weights cancel)."""
-    if isinstance(model, fields.Adhm):
-        center, scale = model.xi, model.lam
-    elif model.is_radial:
-        center, scale = None, 1.0
-    else:
-        raise ValueError("no quadrature route for this model: "
-                         "|F|^2_g is not radially symmetric")
-
-    g = RadialGrid(2 * n)
-    pts = g.axis_points(center=center, scale=scale)
-    q = charge_density_coord(model.curvature(pts))
-    v = scale ** 4 * g.integrate_flat(q)
-    return v / (8.0 * np.pi ** 2)
+    return _flat_ray(model, charge_density_coord, 2 * n) / (8.0 * np.pi ** 2)
 
 
 def lp_curvature_norm(model, p, n=96):

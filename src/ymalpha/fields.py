@@ -14,20 +14,6 @@ from .quat import qmul, qconj, qnorm2, im_part, exp_im, conjugate_im
 from .sphere import RadialGrid, partials
 
 
-def v_field(zeta):
-    """v_j = Im[conj(zeta) e_j], the radial-ansatz frame; shape (N, 4, 3)."""
-    zc = qconj(zeta)
-    return np.stack([im_part(qmul(zc, quat.E_BASIS[j])) for j in range(4)], axis=-2)
-
-
-def ansatz_frame_tensor(zeta):
-    """zeta^i v_j - zeta^j v_i, the t1 term of the radial-ansatz curvature;
-    shape (N, 4, 4, 3)."""
-    v = v_field(zeta)
-    zv = zeta[..., :, None, None] * v[..., None, :, :]
-    return zv - np.swapaxes(zv, -3, -2)
-
-
 def _m_tensor():
     m = np.zeros((4, 4, 3))
     for i in range(4):
@@ -38,6 +24,20 @@ def _m_tensor():
 
 # constant tensor M_ij = Im[conj(e_i) e_j]; antisymmetric, |M_ij| = 1 off-diagonal
 M_TENSOR = _m_tensor()
+
+
+def v_field(zeta):
+    """v_j = Im[conj(zeta) e_j] = sum_i zeta^i M_ij, the radial-ansatz frame;
+    shape (N, 4, 3).  Each entry is one signed coordinate: exact."""
+    return np.einsum("...i,ijc->...jc", np.asarray(zeta, float), M_TENSOR)
+
+
+def ansatz_frame_tensor(zeta):
+    """zeta^i v_j - zeta^j v_i, the t1 term of the radial-ansatz curvature;
+    shape (N, 4, 4, 3)."""
+    v = v_field(zeta)
+    zv = zeta[..., :, None, None] * v[..., None, :, :]
+    return zv - np.swapaxes(zv, -3, -2)
 
 
 class ConnectionModel:
@@ -214,15 +214,14 @@ class Pulledback(ConnectionModel):
 
     def potential(self, zeta):
         zeta = np.asarray(zeta, float)
-        J = self.cmap.jacobian(zeta)
         g = self.base.potential(self.cmap.apply(zeta))
-        return np.einsum("...ij,...jc->...ic", J, g)
+        return np.einsum("ij,...jc->...ic", self.cmap.matrix, g)
 
     def curvature(self, zeta):
         zeta = np.asarray(zeta, float)
-        J = self.cmap.jacobian(zeta)
+        J = self.cmap.matrix
         F = self.base.curvature(self.cmap.apply(zeta))
-        return np.einsum("...ik,...jl,...klc->...ijc", J, J, F)
+        return np.einsum("ik,jl,...klc->...ijc", J, J, F)
 
 
 class LatticeField(ConnectionModel):
@@ -252,12 +251,13 @@ def pullback(cmap, model):
     return Pulledback(model, cmap)
 
 
-def random_radial_profile(rng, amp=0.25):
-    """Smooth random bump perturbation of the basic profile g = 1."""
+def random_radial_profile(rng):
+    """Smooth random bump perturbation of the basic profile g = 1: one to
+    three Gaussian bumps of amplitude at most 0.25."""
     grid = RadialGrid(64)
     g = np.ones(grid.n)
     for _ in range(rng.integers(1, 4)):
-        a = amp * rng.uniform(-1.0, 1.0)
+        a = 0.25 * rng.uniform(-1.0, 1.0)
         c = rng.uniform(0.25 * np.pi, 0.75 * np.pi)
         w = rng.uniform(0.15 * np.pi, 0.35 * np.pi)
         g += a * np.exp(-((grid.theta - c) / w) ** 2)
@@ -276,13 +276,13 @@ def random_bump_sigma(rng, amp=0.2):
     return sigma
 
 
-def random_connection(rng, amp=0.25):
+def random_connection(rng):
     """Seeded random connection: radial profile + optional decoration.
 
     Decorations (gauge transform, centered dilation, rotation) keep the
     curvature norm radially symmetric, so the 1D energy route stays exact.
     """
-    base = random_radial_profile(rng, amp=amp)
+    base = random_radial_profile(rng)
     kind = rng.integers(0, 4)
     if kind == 1:
         return GaugeTransformed(base, AnalyticGauge(random_bump_sigma(rng)))

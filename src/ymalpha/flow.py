@@ -111,12 +111,12 @@ class RadialFlow:
         """P = s(f' + f^2), Q = f(1 - s f) at the knots; rho = 24 W ((P+Q)^2 + Q^2)."""
         return _pq(g, self.D @ g + self.d0, self.s, self.r)
 
-    def rho(self, g):
-        P, Q = self._pq(g)
+    def rho(self, P, Q):
+        """|F|^2_g of the ansatz at the knots from its (P, Q)."""
         return 24.0 * self.W * ((P + Q) ** 2 + Q * Q)
 
     def energy(self, g):
-        dens = (3.0 + self.chi * self.rho(g)) ** self.alpha / self.chi
+        dens = (3.0 + self.chi * self.rho(*self._pq(g))) ** self.alpha / self.chi
         return 0.5 * pairwise_sum(self.vol_w * dens)
 
     def grad(self, g):
@@ -124,7 +124,7 @@ class RadialFlow:
         s = self.s
         f = g / (1.0 + s)
         P, Q = self._pq(g)
-        rho = 24.0 * self.W * ((P + Q) ** 2 + Q * Q)
+        rho = self.rho(P, Q)
         c = 12.0 * self.alpha * self.vol_w * self.W \
             * (3.0 + self.chi * rho) ** (self.alpha - 1.0)
         cp, cq = 2.0 * c * (P + Q), 2.0 * c * (P + 2.0 * Q)
@@ -160,9 +160,7 @@ class RadialFlow:
         """L^2 distance of the curvature to the basic curvature."""
         P1, Q1 = self._pq(g)
         P0, Q0 = self._pq0
-        dP, dQ = P1 - P0, Q1 - Q0
-        d2 = 24.0 * self.W * ((dP + dQ) ** 2 + dQ * dQ)
-        return np.sqrt(pairwise_sum(self.vol_w * d2))
+        return np.sqrt(pairwise_sum(self.vol_w * self.rho(P1 - P0, Q1 - Q0)))
 
     def profile(self, g):
         return fields.RadialProfile(self.grid.theta, g)
@@ -196,14 +194,14 @@ def flow_step(fl, g, dt, dt_min, e0, k1):
             raise FlowError("step rejected at dt_min; energy would increase")
 
 
-def run_flow(profile, config=None):
-    """Flow a RadialProfile toward the basic connection; records a trajectory
-    row (t, dt, energy, grad_norm, dist_conn, dist_curv, charge) per step."""
-    cfg = config or FlowConfig()
+def run_flow(profile, config):
+    """Flow a RadialProfile toward the basic connection under the FlowConfig
+    config; records a trajectory row (t, dt, energy, grad_norm, dist_conn,
+    dist_curv, charge) per step."""
     grid = RadialGrid(profile.theta.shape[0])
     if not np.allclose(grid.theta, profile.theta):
         raise ValueError("profile must live on a RadialGrid theta grid")
-    fl = RadialFlow(cfg.alpha, grid, lam=cfg.lam)
+    fl = RadialFlow(config.alpha, grid, lam=config.lam)
     g = profile.g.copy()         # knots outside the active window stay fixed
     t, dt = 0.0, DT
     e = fl.energy(g)
@@ -212,7 +210,7 @@ def run_flow(profile, config=None):
     reason, converged = "max_steps reached", False
     steps = 0
     dt_bad = np.inf      # smallest dt ever rejected; stay clear of it
-    for steps in range(1, cfg.max_steps + 1):
+    for steps in range(1, config.max_steps + 1):
         g, used, e, rejects = flow_step(fl, g, dt, DT_MIN, e, fl.velocity(dg))
         t += used
         if rejects:

@@ -17,6 +17,7 @@ from .energy import BASIC_YM_ALPHA
 from .sphere import _doubling, gauss_legendre, pairwise_sum
 
 LAMBDA_OVERFLOW = 1.0e6
+TAU_MAX = 30.0          # sigma/beta above this overflows the direct forms of G
 
 
 @dataclass
@@ -139,24 +140,31 @@ def _G_tau(tau, beta, n):
     return 3.0 * pairwise_sum(f * w) / np.sinh(tau) ** 3
 
 
-def G_of_sigma(sigma, beta, n=96, with_residual=False):
-    """Normalized pullback-energy profile; G(0+) = 1, increasing in sigma."""
+def _tau(sigma, beta):
+    """tau = sigma/beta for beta in (0, 1] and tau <= TAU_MAX, where the
+    integrands, growing like e^{tau(3 + 4 beta)}, stay finite."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
+    if sigma / beta > TAU_MAX:
+        raise ValueError("sigma/beta must be <= %g" % TAU_MAX)
+    return sigma / beta
+
+
+def G_of_sigma(sigma, beta, n=96, with_residual=False):
+    """Normalized pullback-energy profile; G(0+) = 1, increasing in sigma."""
+    tau = _tau(sigma, beta)
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return (1.0, 0.0) if with_residual else 1.0
-    return _value(lambda m: _G_tau(sigma / beta, beta, m), n, with_residual)
+    return _value(lambda m: _G_tau(tau, beta, m), n, with_residual)
 
 
 def G_prime(sigma, beta, n=96):
     """dG/dsigma in the integrated-by-parts form (manifestly positive)."""
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
+    tau = _tau(sigma, beta)
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0")
-    tau = sigma / beta
     alpha = 1.0 + beta
     t, w = gauss_legendre(2 * n, 0.0, tau)
     f = np.cosh(2.0 * t) ** (beta - 1.0) * np.sinh(2.0 * alpha * t) \

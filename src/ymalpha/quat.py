@@ -23,7 +23,7 @@ def qmul(a, b):
     aw, av = a[..., 0], a[..., 1:]
     bw, bv = b[..., 0], b[..., 1:]
     w = aw * bw - np.sum(av * bv, axis=-1)
-    v = (aw[..., None] * bv + bw[..., None] * av + np.cross(av, bv))
+    v = (aw[..., None] * bv + bw[..., None] * av + cross(av, bv))
     return np.concatenate([w[..., None], v], axis=-1)
 
 
@@ -51,16 +51,21 @@ def from_im(s):
     return out
 
 
-def bracket(a, b):
-    """Commutator ab - ba of pure imaginary quaternions; equals 2 a x b
-    (the same products and differences as np.cross, without its axis moves)."""
+def cross(a, b):
+    """Cross product a x b over the trailing axis (3), written out: numpy's
+    products and differences without its axis moves."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return 2.0 * np.stack([a1 * b2 - a2 * b1,
-                           a2 * b0 - a0 * b2,
-                           a0 * b1 - a1 * b0], axis=-1)
+    return np.stack([a1 * b2 - a2 * b1,
+                     a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0], axis=-1)
+
+
+def bracket(a, b):
+    """Commutator ab - ba of pure imaginary quaternions: 2 a x b."""
+    return 2.0 * cross(a, b)
 
 
 def exp_im(s):

@@ -17,34 +17,30 @@ from .quat import qmul, qconj, qnorm2
 VOL_S4 = 8.0 * np.pi ** 2 / 3.0
 
 
-def r2(zeta):
-    return qnorm2(zeta)
-
-
 def round_weight(zeta):
     """Volume density dV_g / dV_flat = 16 (1+|zeta|^2)^{-4}."""
-    return 16.0 / (1.0 + r2(zeta)) ** 4
+    return 16.0 / (1.0 + qnorm2(zeta)) ** 4
 
 
 def frame_scale(zeta):
     """w = (1+r^2)/2: orthonormal frame e_a = w d_a; 1-form weight is w^2."""
-    return 0.5 * (1.0 + r2(zeta))
+    return 0.5 * (1.0 + qnorm2(zeta))
 
 
 def two_form_weight(zeta):
     """Pointwise weight converting |F|^2_coord to |F|^2_g: (1/16)(1+r^2)^4."""
-    return (1.0 + r2(zeta)) ** 4 / 16.0
+    return (1.0 + qnorm2(zeta)) ** 4 / 16.0
 
 
 def chi_lambda(zeta, lam):
     """Conformal density lam^{-4} ((1+|lam zeta|^2)/(1+|zeta|^2))^4."""
-    s = r2(zeta)
+    s = qnorm2(zeta)
     return lam ** (-4) * ((1.0 + lam ** 2 * s) / (1.0 + s)) ** 4
 
 
 def mu(zeta):
     """(r^2 - 1)/(r^2 + 1), i.e. minus the cosine of the polar angle."""
-    s = r2(zeta)
+    s = qnorm2(zeta)
     return (s - 1.0) / (s + 1.0)
 
 
@@ -71,11 +67,10 @@ class ConformalMap:
     def apply(self, zeta):
         return self.xi2 + self.lam * qmul(qmul(self.p, zeta), qconj(self.q))
 
-    def jacobian(self, zeta):
-        """J[..., i, j] = d phi^j / d zeta^i."""
-        shape = np.shape(zeta)[:-1] + (4, 4)
-        R = rotation_matrix(self.p, self.q)  # R[j, a]
-        return np.array(np.broadcast_to(self.lam * R.T, shape))
+    @property
+    def matrix(self):
+        """The constant Jacobian J[i, j] = d phi^j / d zeta^i = lam R[j, i]."""
+        return self.lam * rotation_matrix(self.p, self.q).T
 
 
 def dilation(lam):

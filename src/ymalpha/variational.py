@@ -13,7 +13,7 @@ test suite.
 import numpy as np
 
 from . import sphere, fields
-from .quat import bracket
+from .quat import bracket, qnorm2
 from .sphere import frame_scale, pairwise_sum, partials
 
 FD_STEP = 1.0e-3
@@ -93,7 +93,7 @@ def exterior_d(fn, model, zeta, h=FD_STEP):
 
 def _dlogchi(zeta, lam):
     """Chart partials of log chi_lambda (analytic), shape (..., 4)."""
-    s = sphere.r2(zeta)[..., None]
+    s = qnorm2(zeta)[..., None]
     return 8.0 * zeta * (lam ** 2 / (1.0 + lam ** 2 * s) - 1.0 / (1.0 + s))
 
 
@@ -270,23 +270,20 @@ for _i, _j, _m, _s in [(0, 1, 0, 1.0), (2, 3, 0, -1.0),
 BASIC_FRAME_CURVATURE = 0.5 * _P
 
 
-def commutator_bound_check(A=None, B=None):
+def commutator_bound_check(A, B):
     """Worst-case margins of the basic-curvature commutator inequalities.
 
     A: (..., 4, 3) frame 1-form samples, bound <F,[A,A]> <= |A|^2;
     B: (..., 4, 4, 3) frame 2-tensor samples, bound <F,[B_k.,B_k.]> <= 4|B|^2.
     Returns (margin_A, margin_B); both must be <= 0 (equality is attained)."""
-    mA = mB = 0.0
     F = BASIC_FRAME_CURVATURE
-    if A is not None:
-        A = np.asarray(A, float)
-        comm = bracket(A[..., :, None, :], A[..., None, :, :])
-        ip = np.einsum("ijm,...ijm->...", F, comm)
-        mA = float(np.max(ip - np.sum(A * A, axis=(-2, -1))))
-    if B is not None:
-        B = np.asarray(B, float)
-        comm = np.einsum("...kijm->...ijm",
-                         bracket(B[..., :, :, None, :], B[..., :, None, :, :]))
-        ip = np.einsum("ijm,...ijm->...", F, comm)
-        mB = float(np.max(ip - 4.0 * np.sum(B * B, axis=(-3, -2, -1))))
+    A = np.asarray(A, float)
+    comm = bracket(A[..., :, None, :], A[..., None, :, :])
+    ip = np.einsum("ijm,...ijm->...", F, comm)
+    mA = float(np.max(ip - np.sum(A * A, axis=(-2, -1))))
+    B = np.asarray(B, float)
+    comm = np.einsum("...kijm->...ijm",
+                     bracket(B[..., :, :, None, :], B[..., :, None, :, :]))
+    ip = np.einsum("ijm,...ijm->...", F, comm)
+    mB = float(np.max(ip - 4.0 * np.sum(B * B, axis=(-3, -2, -1))))
     return mA, mB

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,17 @@ def test_basic_curvature_is_lazy_and_exact():
     want = fields.basic_connection().curvature(lat.points)
     assert np.array_equal(F0, want.reshape(lat.shape + (4, 4, 3)))
     assert ch.basic_curvature is F0
+
+
+def test_chart_cache_holds_one_chart():
+    lat = Lattice4D(3.0, 5)
+    ch = coulomb._chart(lat)
+    assert coulomb._chart(lat) is ch
+    assert coulomb._chart(Lattice4D(3.0, 5)) is ch
+    ref = weakref.ref(ch)
+    del ch
+    coulomb._chart(Lattice4D(3.0, 4))       # another (R, n) frees the first
+    assert ref() is None
 
 
 def test_trivial_projection_is_exact():

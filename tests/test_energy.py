@@ -28,12 +28,25 @@ def test_basic_energy_closed_form():
         assert rep.residual < 1e-8
 
 
+def _kind(c):
+    if isinstance(c, fields.Pulledback):
+        return "dilated" if c.cmap.lam != 1.0 else "rotated"
+    return {fields.RadialProfile: "plain",
+            fields.GaugeTransformed: "gauge"}[type(c)]
+
+
 def test_alpha_one_relation():
-    # at alpha = 1 the energy is (1/2) int (3 + |F|^2_g) = (3/2) vol + YM
-    c = fields.random_connection(rng)
-    e1 = energy.ym_alpha(c, 1.0).value
-    ym = energy.ym_energy(c).value
-    assert e1 == pytest.approx(1.5 * sphere.VOL_S4 + ym, rel=1e-10)
+    # at alpha = 1 the energy is (1/2) int (3 + |F|^2_g) = (3/2) vol + YM;
+    # ym_alpha takes the round measure, ym_energy the flat one; the seeds
+    # give one random_connection of each kind
+    kinds = []
+    for seed in (3, 2, 0, 4):
+        c = fields.random_connection(np.random.default_rng(seed))
+        kinds.append(_kind(c))
+        e1 = energy.ym_alpha(c, 1.0).value
+        ym = energy.ym_energy(c).value
+        assert e1 == pytest.approx(1.5 * sphere.VOL_S4 + ym, rel=1e-10)
+    assert kinds == ["plain", "gauge", "dilated", "rotated"]
 
 
 def test_instanton_energy_translation_scale_invariant():

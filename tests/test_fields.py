@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ymalpha import energy, fields, quat, sphere
 from ymalpha.sphere import Lattice4D, RadialGrid
@@ -129,6 +129,19 @@ def test_random_connection_is_radial():
         f1 = sphere.f_norm2_coord(c.curvature(z1)) * sphere.two_form_weight(z1)
         f2 = sphere.f_norm2_coord(c.curvature(z2)) * sphere.two_form_weight(z2)
         assert np.isclose(f1, f2, rtol=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=array_shapes(min_dims=0, max_dims=4, max_side=15),
+       seed=st.integers(0, 2 ** 32 - 1), zeros=st.booleans())
+def test_v_field_is_four_product_form(shape, seed, zeros):
+    """v_j = Im[conj(zeta) e_j] by four quaternion products, exactly."""
+    zeta = np.random.default_rng(seed).normal(scale=3.0, size=shape + (4,))
+    if zeros:
+        zeta[zeta < 0.0] = 0.0
+    want = np.stack([quat.im_part(quat.qmul(quat.qconj(zeta), quat.E_BASIS[j]))
+                     for j in range(4)], axis=-2)
+    assert np.array_equal(fields.v_field(zeta), want)
 
 
 def test_v_field_shape():

@@ -140,7 +140,7 @@ def test_flow_config_validation():
         flow.RadialFlow(1.2, lam=-1.0)
     with pytest.raises(ValueError):
         flow.run_flow(fields.RadialProfile(np.linspace(0.1, 3.0, 64),
-                                           np.ones(64)))
+                                           np.ones(64)), flow.FlowConfig())
 
 
 def test_discrete_minimizer_near_one():

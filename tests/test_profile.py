@@ -48,6 +48,18 @@ def test_G_normalization_and_monotonicity():
         assert all(profile.G_prime(s, beta) > 0 for s in sig[1:])
 
 
+def test_G_tau_bound():
+    # finite up to tau = sigma/beta = 30; beyond it the direct forms overflow
+    for beta in (0.1, 1.0):
+        assert np.isfinite(profile.G_of_sigma(30.0 * beta, beta))
+        assert np.isfinite(profile.G_prime(30.0 * beta, beta))
+        for fn in (profile.G_of_sigma, profile.G_prime):
+            with pytest.raises(ValueError, match="sigma/beta"):
+                fn(30.01 * beta, beta)
+    with pytest.raises(ValueError, match="sigma/beta"):
+        profile.G_prime(180.0, 1.0)
+
+
 def test_G_prime_fd():
     for beta, sig in [(0.2, 0.5), (0.5, 1.5), (1.0, 3.0)]:
         d = 1e-5 * max(sig, 1.0)

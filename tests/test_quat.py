@@ -19,6 +19,31 @@ def test_basis_table():
         assert np.allclose(quat.qmul(e, e), -quat.ONE)
 
 
+def _qmul_ref(a, b):
+    """Hamilton product written on np.cross."""
+    aw, av, bw, bv = a[..., 0], a[..., 1:], b[..., 0], b[..., 1:]
+    w = aw * bw - np.sum(av * bv, axis=-1)
+    v = aw[..., None] * bv + bw[..., None] * av + np.cross(av, bv)
+    return np.concatenate([w[..., None], v], axis=-1)
+
+
+@st.composite
+def quat_pairs(draw):
+    shapes = draw(mutually_broadcastable_shapes(
+        signature="(4),(4)->(4)", max_dims=3, max_side=3))
+    sa, sb = shapes.input_shapes
+    return (draw(arrays(float, sa, elements=finite)),
+            draw(arrays(float, sb, elements=finite)))
+
+
+@given(quat_pairs())
+def test_qmul_matches_cross_reference(pair):
+    a, b = pair
+    got, want = quat.qmul(a, b), _qmul_ref(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 @given(quats, quats, quats)
 def test_associative(a, b, c):
     lhs = quat.qmul(quat.qmul(a, b), c)

@@ -52,15 +52,20 @@ def test_chi_lambda_values():
 
 
 def test_conformal_jacobian_fd():
-    m = sphere.ConformalMap(xi2=np.array([0.2, 0, 0.1, 0]), lam=1.4)
+    p = rng.normal(size=4); p /= np.linalg.norm(p)
+    q = rng.normal(size=4); q /= np.linalg.norm(q)
     pts = rng.normal(size=(10, 4))
-    J = m.jacobian(pts)
     h = 1e-6
-    for a in range(4):
-        dp = pts.copy(); dp[:, a] += h
-        dm = pts.copy(); dm[:, a] -= h
-        fd = (m.apply(dp) - m.apply(dm)) / (2 * h)
-        assert np.allclose(J[..., a], fd, atol=1e-6)
+    for m in (sphere.ConformalMap(xi2=np.array([0.2, 0, 0.1, 0]), lam=1.4),
+              sphere.ConformalMap(xi2=np.array([0, 0.3, 0, -0.1]), lam=0.7,
+                                  p=p, q=q)):
+        J = m.matrix            # J[a, j] = d phi^j / d zeta^a
+        assert J.shape == (4, 4)
+        for a in range(4):
+            dp = pts.copy(); dp[:, a] += h
+            dm = pts.copy(); dm[:, a] -= h
+            fd = (m.apply(dp) - m.apply(dm)) / (2 * h)
+            assert np.allclose(J[a], fd, atol=1e-6)
 
 
 def test_rotation_is_isometry_of_r2():
