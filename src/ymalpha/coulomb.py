@@ -230,7 +230,6 @@ class CoulombResult:
     residuals: list
     cg_iters: list
     sigma_sup: list
-    damping: float
     converged: bool
 
     @property
@@ -299,7 +298,7 @@ def coulomb_project(c, lattice, tol=1.0e-8, support_tol=0.05,
         raise CoulombError("max-outer-exceeded: residual %.3g > tol %.3g "
                            "after %d iterations" % (residuals[-1], tol, MAX_OUTER))
     return CoulombResult(sigma, fields.LatticeField(lat, act), residuals,
-                         cg_iters, sups, damping, converged)
+                         cg_iters, sups, converged)
 
 
 def distance_to_basic(result):
@@ -363,8 +362,6 @@ def commute_check(c, maps, lattice, tol=1.0e-6):
 class ZReport:
     cmap: ConformalMap
     z: float
-    curvature_term: float
-    potential_term: float
     trace: list = field(default_factory=list)
 
 
@@ -428,5 +425,5 @@ def minimize_conformal_distance(c, lattice, lam_max=2.0, xi_max=0.5,
                             "adaptive": True, "initial_simplex": simplex})
     lam = float(np.exp(np.clip(out.x[0], -np.log(lam_max), np.log(lam_max))))
     xi = np.clip(out.x[1:], -xi_max, xi_max)
-    cmap, z, zf, zu, _ = _z_value(c, lam, xi, lat, tol)
-    return ZReport(cmap, float(z), float(zf), float(zu), trace)
+    cmap, z, _, _, _ = _z_value(c, lam, xi, lat, tol)
+    return ZReport(cmap, float(z), trace)

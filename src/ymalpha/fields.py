@@ -40,6 +40,13 @@ def ansatz_frame_tensor(zeta):
     return zv - np.swapaxes(zv, -3, -2)
 
 
+def f_sfp_from_g(g, dg, s, r):
+    """(f, s*f') of the radial ansatz f = g/(1+s) from g and dg/dtheta at
+    s = r^2; s * dtheta/ds = r/(1+r^2) has no 1/r at the origin."""
+    sfp = dg * r / (1.0 + s) ** 2 - s * g / (1.0 + s) ** 2
+    return g / (1.0 + s), sfp
+
+
 class ConnectionModel:
     """Base: a connection given by its coordinate potential (and curvature)."""
 
@@ -131,10 +138,7 @@ class RadialProfile(ConnectionModel):
     def f_sfp(self, s):
         """(f, s*f'), avoiding the removable 1/r in dtheta/ds at the origin."""
         g, dg = self._g_dg(s)
-        r = np.sqrt(np.maximum(s, 0.0))
-        # s * dtheta/ds = r/(1+r^2)
-        sfp = dg * r / (1.0 + s) ** 2 - s * g / (1.0 + s) ** 2
-        return g / (1.0 + s), sfp
+        return f_sfp_from_g(g, dg, s, np.sqrt(np.maximum(s, 0.0)))
 
     def potential(self, zeta):
         zeta = np.asarray(zeta, float)

@@ -168,8 +168,7 @@ class RadialFlow:
 
 def _pq(g, dg, s, r):
     """P = s(f' + f^2), Q = f(1 - s f) from g and dg/dtheta at nodes s = r^2."""
-    f = g / (1.0 + s)
-    sfp = dg * r / (1.0 + s) ** 2 - s * g / (1.0 + s) ** 2
+    f, sfp = fields.f_sfp_from_g(g, dg, s, r)
     return sfp + s * f * f, f * (1.0 - s * f)
 
 

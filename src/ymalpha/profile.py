@@ -80,12 +80,11 @@ def _check_al(alpha, lam):
 
 def _radial_route(alpha, lam, m):
     # E = 16 3^a pi^2 int (1 + lam^4 (1+r^2)^4/(1+lam^2 r^2)^4)^a r^3/(1+r^2)^4 dr
-    th, w = gauss_legendre(m, 0.0, np.pi)
-    r = np.tan(0.5 * th)
-    s = r * r
+    g = sphere.RadialGrid(m)
+    r, s = g.r, g.s
     w4 = (lam * (1.0 + s) / (1.0 + lam ** 2 * s)) ** 4
     f = (1.0 + w4) ** alpha * r ** 3 / (1.0 + s) ** 4 * 0.5 * (1.0 + s)
-    return 16.0 * 3.0 ** alpha * np.pi ** 2 * pairwise_sum(f * w)
+    return 16.0 * 3.0 ** alpha * np.pi ** 2 * pairwise_sum(f * g.wtheta)
 
 
 def _w_route(alpha, lam, m):
@@ -290,9 +289,8 @@ def _d2logchi_dr2(r, lam):
 
 def _radial_integral(fn, n):
     """int_0^inf fn(r) dr via r = tan(theta/2), spectrally convergent."""
-    th, w = gauss_legendre(2 * n, 0.0, np.pi)
-    r = np.tan(0.5 * th)
-    return pairwise_sum(fn(r) * 0.5 * (1.0 + r * r) * w)
+    g = sphere.RadialGrid(2 * n)
+    return pairwise_sum(fn(g.r) * 0.5 * (1.0 + g.s) * g.wtheta)
 
 
 def chi_sobolev_norms(lam, n=96):

@@ -1,10 +1,11 @@
 """Named verification checks tying every documented claim to a computation.
 
-Each check returns a Check record (id, claim description, computed value,
-target, tolerance, pass flag); run_suite executes all of them against a flat
-key=value configuration and produces a deterministic VerificationReport.
-Randomness is drawn from a counter-based generator keyed by a single 64-bit
-seed, with an independent jumped stream per check.
+CHECKS is the one table of (id, claim, check) entries.  Each check function
+returns (computed value, tolerance, pass flag, detail); run_suite executes
+all of them against a flat key=value configuration, builds each entry's
+Check record (a crash included) and produces a deterministic
+VerificationReport.  Randomness is drawn from a counter-based generator
+keyed by a single 64-bit seed, with an independent jumped stream per check.
 """
 
 import json
@@ -13,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import coulomb, energy, fields, flow, profile, sphere, variational
+from . import coulomb, energy, fields, flow, profile, quat, sphere, variational
 from .energy import BASIC_YM_ALPHA
 from .sphere import Lattice4D, RadialGrid
 
@@ -49,10 +50,10 @@ class Check:
     id: str
     claim: str
     computed: float
-    target: float
     tolerance: float
     passed: bool
     detail: str = ""
+    target: float = 0.0     # every check bounds a deviation from zero
 
 
 @dataclass
@@ -64,17 +65,7 @@ class VerificationReport:
     all_pass: bool
 
     def to_json(self):
-        def plain(c):
-            d = asdict(c)
-            for k in ("computed", "target", "tolerance"):
-                d[k] = float(d[k])
-            d["passed"] = bool(d["passed"])
-            return d
-        d = {"version": self.version, "seed": self.seed,
-             "config": {k: self.config[k] for k in sorted(self.config)},
-             "checks": [plain(c) for c in self.checks],
-             "all_pass": bool(self.all_pass)}
-        return json.dumps(d, indent=1, sort_keys=True)
+        return json.dumps(asdict(self), indent=1, sort_keys=True)
 
 
 def _cfg(config):
@@ -99,10 +90,7 @@ def check_basic_energy(cfg, rng):
         v = energy.ym_alpha(fields.basic_connection(), alpha,
                             n=cfg["radial_n"]).value
         worst = max(worst, abs(v / BASIC_YM_ALPHA(alpha) - 1.0))
-    return Check("basic-energy",
-                 "alpha-energy of the basic instanton equals 6^a (4/3) pi^2 "
-                 "for a in {1, 1.1, 1.5, 2}",
-                 worst, 0.0, cfg["quad_rtol"], worst <= cfg["quad_rtol"])
+    return worst, cfg["quad_rtol"], worst <= cfg["quad_rtol"], ""
 
 
 def check_curvature_norms(cfg, rng):
@@ -117,12 +105,8 @@ def check_curvature_norms(cfg, rng):
     ptw = float(np.max(np.abs(
         energy.f_norm2_g(fields.basic_connection(), pts) - 3.0)))
     ok = worst <= cfg["quad_rtol"] and ptw <= cfg["point_atol"]
-    return Check("curvature-norms",
-                 "instanton curvature norm ||F||^2 = 8 pi^2 (5 random "
-                 "centers/scales); |F|^2_g = 3 pointwise at the basic one",
-                 worst, 0.0, cfg["quad_rtol"], ok,
-                 detail="pointwise sup deviation %.3g (atol %.1g)"
-                 % (ptw, cfg["point_atol"]))
+    return (worst, cfg["quad_rtol"], ok, "pointwise sup deviation %.3g "
+            "(atol %.1g)" % (ptw, cfg["point_atol"]))
 
 
 def check_lower_bound(cfg, rng):
@@ -137,10 +121,7 @@ def check_lower_bound(cfg, rng):
             v = 0.5 * grid_b.integrate_round((3.0 + dens) ** alpha)
             margin = min(margin, v - BASIC_YM_ALPHA(alpha))
     ok = margin >= -cfg["lower_bound_slack"]
-    return Check("lower-bound",
-                 "alpha-energy >= 6^a (4/3) pi^2 over seeded random "
-                 "connections, a in {1, 1.1, 1.5, 2}",
-                 float(margin), 0.0, cfg["lower_bound_slack"], ok)
+    return margin, cfg["lower_bound_slack"], ok, ""
 
 
 def check_charge(cfg, rng):
@@ -154,11 +135,7 @@ def check_charge(cfg, rng):
     Fp, _ = sphere.hodge_split(F)
     sd = np.sqrt(g.integrate_flat(np.sum(Fp * Fp, axis=(-3, -2, -1))))
     ok = worst <= 1.0e-8 and sd <= 1.0e-8
-    return Check("charge-asd",
-                 "topological charge of the instanton family = 1; "
-                 "self-dual curvature part vanishes at the basic connection",
-                 worst, 0.0, 1.0e-8, ok,
-                 detail="||F_plus||_L2 = %.3g" % sd)
+    return worst, 1.0e-8, ok, "||F_plus||_L2 = %.3g" % sd
 
 
 def check_dilation_symmetry(cfg, rng):
@@ -175,11 +152,7 @@ def check_dilation_symmetry(cfg, rng):
             dn = energy.ym_alpha(fields.pullback(sphere.dilation(1.0 / lam), b),
                                  alpha, n=cfg["radial_n"]).value
             worst = max(worst, abs(up / dn - 1.0))
-    ok = worst <= cfg["quad_rtol"]
-    return Check("dilation-symmetry",
-                 "twisted energy of the dilated basic connection equals the "
-                 "untwisted value; plain energy symmetric under lam <-> 1/lam",
-                 worst, 0.0, cfg["quad_rtol"], ok)
+    return worst, cfg["quad_rtol"], worst <= cfg["quad_rtol"], ""
 
 
 def check_profile_consistency(cfg, rng):
@@ -212,15 +185,11 @@ def check_profile_consistency(cfg, rng):
          (1.3, 2.0), (1.1, 1.5)], n=n)
     ok = (worst <= cfg["quad_rtol"] and fd_worst <= cfg["profile_fd_tol"]
           and gp_min > 0.0 and gap_min >= 0.0 and fits["passes"])
-    return Check("profile-consistency",
-                 "three quadrature routes for the dilated energy agree; "
-                 "G' matches finite differences of G, G' > 0, gap >= 0, "
-                 "fitted regime constants positive",
-                 worst, 0.0, cfg["quad_rtol"], ok,
-                 detail="G' fd dev %.3g, min G' %.3g, min gap %.3g, fits %s"
-                 % (fd_worst, gp_min, gap_min,
-                    {k: (None if isinstance(v, bool) else float(v))
-                     for k, v in fits.items() if k != "passes"}))
+    return (worst, cfg["quad_rtol"], ok,
+            "G' fd dev %.3g, min G' %.3g, min gap %.3g, fits %s"
+            % (fd_worst, gp_min, gap_min,
+               {k: (None if isinstance(v, bool) else float(v))
+                for k, v in fits.items() if k != "passes"}))
 
 
 def check_chi_norms(cfg, rng):
@@ -236,12 +205,8 @@ def check_chi_norms(cfg, rng):
                      and rep.gamma_sq <= rep.gamma_bound * (1 + 1e-12)
                      and np.isfinite(rep.ratio_log) and rep.ratio_log > 0.0)
     ok = worst <= cfg["chi_rtol"] and bound_ok
-    return Check("chi-norms",
-                 "piecewise ||grad log chi||^2 closed form (corrected "
-                 "trailing factor 2 - 1/lam^2); quadratures below their "
-                 "power-law majorants",
-                 worst, 0.0, cfg["chi_rtol"], ok,
-                 detail="majorant inequalities hold: %s" % bound_ok)
+    return (worst, cfg["chi_rtol"], ok,
+            "majorant inequalities hold: %s" % bound_ok)
 
 
 class _AnalyticRadial(fields.RadialProfile):
@@ -318,14 +283,10 @@ def check_variational(cfg, rng):
         rng.normal(size=(10000, 4, 3)), rng.normal(size=(10000, 4, 4, 3)))
     ok = (worst <= cfg["grad_rel_tol"] and order >= 1.9 and crit <= 1e-10
           and pol_ok and mA <= 0.0 and mB <= 0.0)
-    return Check("variational-gradient",
-                 "analytic alpha-energy gradient matches finite differences "
-                 "of the quadrature energy; D*F and polarization residuals "
-                 "are second order; commutator margins nonpositive",
-                 worst, 0.0, cfg["grad_rel_tol"], ok,
-                 detail="D*F order %.2f, critical residual %.3g; polarization "
-                 "ratios (%.1f, %.1f); margins (%.3g, %.3g)"
-                 % (order, crit, rf1 / rf2, rd1 / rd2, mA, mB))
+    return (worst, cfg["grad_rel_tol"], ok,
+            "D*F order %.2f, critical residual %.3g; polarization ratios "
+            "(%.1f, %.1f); margins (%.3g, %.3g)"
+            % (order, crit, rf1 / rf2, rd1 / rd2, mA, mB))
 
 
 def check_jacobi(cfg, rng):
@@ -343,12 +304,7 @@ def check_jacobi(cfg, rng):
         worst = max(worst, r1)
         refined = max(refined, r2)
     ok = worst <= cfg["jacobi_tol"] and refined < worst
-    return Check("jacobi-kernel",
-                 "second-variation operator annihilates the instanton moduli "
-                 "directions (residual small and decreasing under stencil "
-                 "refinement)",
-                 worst, 0.0, cfg["jacobi_tol"], ok,
-                 detail="refined residual %.3g" % refined)
+    return worst, cfg["jacobi_tol"], ok, "refined residual %.3g" % refined
 
 
 def check_flow(cfg, rng):
@@ -365,9 +321,8 @@ def check_flow(cfg, rng):
             e0 = energy.ym_alpha(prof, alpha).value
         res = flow.run_flow(prof, flow.FlowConfig(alpha=alpha))
         if not res.converged:
-            return Check("flow-convergence", "gradient flow convergence",
-                         np.inf, 0.0, cfg["flow_dist_tol"], False,
-                         detail="seed %d: %s" % (k, res.reason))
+            return (np.inf, cfg["flow_dist_tol"], False,
+                    "seed %d: %s" % (k, res.reason))
         es = np.array([row[2] for row in res.trajectory])
         qs = np.array([row[6] for row in res.trajectory])
         worst_mono = max(worst_mono, float(np.max(np.diff(es))))
@@ -380,13 +335,9 @@ def check_flow(cfg, rng):
     # re-integrated at full resolution (1e-6)
     ok = (worst_d <= cfg["flow_dist_tol"] and worst_e <= cfg["flow_energy_tol"]
           and worst_mono <= 1e-10 and worst_q <= 1e-3 and worst_qf <= 1e-6)
-    return Check("flow-convergence",
-                 "seeded radial flows below the energy threshold converge to "
-                 "the basic connection with monotone energy and charge 1",
-                 worst_d, 0.0, cfg["flow_dist_tol"], ok,
-                 detail="energy dev %.3g, worst energy increase %.3g, "
-                 "charge dev %.3g (final %.3g)"
-                 % (worst_e, worst_mono, worst_q, worst_qf))
+    return (worst_d, cfg["flow_dist_tol"], ok,
+            "energy dev %.3g, worst energy increase %.3g, charge dev %.3g "
+            "(final %.3g)" % (worst_e, worst_mono, worst_q, worst_qf))
 
 
 def check_coulomb(cfg, rng):
@@ -409,7 +360,6 @@ def check_coulomb(cfg, rng):
                 for i in range(len(rt.residuals) - 1))
     # commutation: exact lattice rotation at solver tolerance, generic
     # rotation/dilation at the stencil-limited tolerance
-    from . import quat
     c = flow.random_flow_seed(rng, amp=0.12, s_range=(0.1, 5.0))
     com_exact, = coulomb.commute_check(
         c, [sphere.rotation(quat.ONE, quat.I)], tol=1e-6, lattice=lat)
@@ -431,14 +381,10 @@ def check_coulomb(cfg, rng):
     ok = (rt_res <= tol and rt_dist <= 1e-6 and contr < 1.0
           and com_exact <= 10 * 1e-6 and com_rot <= 10 * ct
           and com_dil <= 10 * ct and boot <= cfg["bootstrap_bound"])
-    return Check("coulomb-projection",
-                 "gauge projection round trip exact, residual contraction "
-                 "geometric, commutation with rotations/dilations within "
-                 "10x solver tolerance, bootstrap ratio bounded",
-                 rt_res, 0.0, tol, ok,
-                 detail="round-trip dist %.3g; contraction %.3g; commute "
-                 "(exact %.3g, rot %.3g, dil %.3g); bootstrap %.3g"
-                 % (rt_dist, contr, com_exact, com_rot, com_dil, boot))
+    return (rt_res, tol, ok,
+            "round-trip dist %.3g; contraction %.3g; commute (exact %.3g, "
+            "rot %.3g, dil %.3g); bootstrap %.3g"
+            % (rt_dist, contr, com_exact, com_rot, com_dil, boot))
 
 
 def check_z_minimization(cfg, rng):
@@ -454,26 +400,45 @@ def check_z_minimization(cfg, rng):
     xi_err = float(np.max(np.abs(xi0 + lam0 * np.asarray(rep.cmap.xi2))))
     worst = max(lam_err, xi_err)
     ok = worst <= cfg["z_param_tol"] and rep.z <= cfg["z_value_tol"]
-    return Check("z-minimization",
-                 "conformal-distance minimization recovers a planted "
-                 "dilation+translation within parameter tolerance",
-                 worst, 0.0, cfg["z_param_tol"], ok,
-                 detail="Z = %.3g (tol %.1g)" % (rep.z, cfg["z_value_tol"]))
+    return (worst, cfg["z_param_tol"], ok,
+            "Z = %.3g (tol %.1g)" % (rep.z, cfg["z_value_tol"]))
 
 
+# (id, claim, check): the report entry of each check, in report order; the
+# position is also the index of the check's random stream
 CHECKS = [
-    check_basic_energy,
-    check_curvature_norms,
-    check_lower_bound,
-    check_charge,
-    check_dilation_symmetry,
-    check_profile_consistency,
-    check_chi_norms,
-    check_variational,
-    check_jacobi,
-    check_flow,
-    check_coulomb,
-    check_z_minimization,
+    ("basic-energy", "alpha-energy of the basic instanton equals 6^a (4/3) "
+     "pi^2 for a in {1, 1.1, 1.5, 2}", check_basic_energy),
+    ("curvature-norms", "instanton curvature norm ||F||^2 = 8 pi^2 (5 random "
+     "centers/scales); |F|^2_g = 3 pointwise at the basic one",
+     check_curvature_norms),
+    ("lower-bound", "alpha-energy >= 6^a (4/3) pi^2 over seeded random "
+     "connections, a in {1, 1.1, 1.5, 2}", check_lower_bound),
+    ("charge-asd", "topological charge of the instanton family = 1; self-dual "
+     "curvature part vanishes at the basic connection", check_charge),
+    ("dilation-symmetry", "twisted energy of the dilated basic connection "
+     "equals the untwisted value; plain energy symmetric under lam <-> 1/lam",
+     check_dilation_symmetry),
+    ("profile-consistency", "three quadrature routes for the dilated energy "
+     "agree; G' matches finite differences of G, G' > 0, gap >= 0, fitted "
+     "regime constants positive", check_profile_consistency),
+    ("chi-norms", "piecewise ||grad log chi||^2 closed form (corrected "
+     "trailing factor 2 - 1/lam^2); quadratures below their power-law "
+     "majorants", check_chi_norms),
+    ("variational-gradient", "analytic alpha-energy gradient matches finite "
+     "differences of the quadrature energy; D*F and polarization residuals "
+     "are second order; commutator margins nonpositive", check_variational),
+    ("jacobi-kernel", "second-variation operator annihilates the instanton "
+     "moduli directions (residual small and decreasing under stencil "
+     "refinement)", check_jacobi),
+    ("flow-convergence", "seeded radial flows below the energy threshold "
+     "converge to the basic connection with monotone energy and charge 1",
+     check_flow),
+    ("coulomb-projection", "gauge projection round trip exact, residual "
+     "contraction geometric, commutation with rotations/dilations within 10x "
+     "solver tolerance, bootstrap ratio bounded", check_coulomb),
+    ("z-minimization", "conformal-distance minimization recovers a planted "
+     "dilation+translation within parameter tolerance", check_z_minimization),
 ]
 
 
@@ -481,15 +446,15 @@ def run_suite(config=None, log=None):
     """Run every check; crashes are recorded as failures, not raised."""
     cfg = _cfg(config)
     checks = []
-    for idx, fn in enumerate(CHECKS):
+    for idx, (cid, claim, fn) in enumerate(CHECKS):
         t0 = time.monotonic()
         try:
-            chk = fn(cfg, _rng(cfg, idx))
+            computed, tol, passed, detail = fn(cfg, _rng(cfg, idx))
+            chk = Check(cid, claim, float(computed), float(tol), bool(passed),
+                        detail)
         except Exception as err:   # recorded per the exit-code contract
-            chk = Check(fn.__name__.replace("check_", "").replace("_", "-"),
-                        fn.__doc__.strip().split("\n")[0],
-                        float("nan"), 0.0, 0.0, False,
-                        detail="crashed: %r" % err)
+            chk = Check(cid, claim, float("nan"), 0.0, False,
+                        "crashed: %r" % err)
         if log is not None:
             log("%-22s %s  (%.1fs)" % (chk.id,
                                        "pass" if chk.passed else "FAIL",

@@ -12,7 +12,7 @@ from ymalpha.energy import BASIC_YM_ALPHA
 
 # the cheap deterministic subset used for CLI-mechanics tests (the full
 # suite runs once in test_acceptance)
-FAST = [verify.check_basic_energy, verify.check_charge]
+FAST = [e for e in verify.CHECKS if e[0] in ("basic-energy", "charge-asd")]
 
 
 def test_energy_value(capsys):
@@ -254,7 +254,8 @@ def test_verify_exit_codes_and_determinism(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_seed_changes_report(tmp_path, monkeypatch):
-    monkeypatch.setattr(verify, "CHECKS", [verify.check_lower_bound])
+    monkeypatch.setattr(verify, "CHECKS",
+                        [e for e in verify.CHECKS if e[0] == "lower-bound"])
     r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(["verify", "--report", str(r1)]) == 0
     assert cli.main(["verify", "-o", "seed=99", "--report", str(r2)]) == 0
@@ -268,15 +269,16 @@ def test_verify_seed_changes_report(tmp_path, monkeypatch):
 def test_crashing_check_exits_one(tmp_path, monkeypatch, capsys):
     def boom(cfg, rng):
         raise RuntimeError("synthetic failure")
-    boom.__doc__ = "Synthetic crash for exit-code coverage."
-    boom.__name__ = "check_boom"
-    monkeypatch.setattr(verify, "CHECKS", [verify.check_basic_energy, boom])
+    monkeypatch.setattr(verify, "CHECKS", [
+        FAST[0], ("boom", "synthetic crash for exit-code coverage", boom)])
     rc = cli.main(["verify", "--report", str(tmp_path / "r.json")])
     assert rc == 1
     rep = json.loads((tmp_path / "r.json").read_text())
     crashed = [c for c in rep["checks"] if c["id"] == "boom"][0]
+    assert crashed["claim"] == "synthetic crash for exit-code coverage"
     assert not crashed["passed"]
-    assert "crashed" in crashed["detail"]
+    assert np.isnan(crashed["computed"])
+    assert crashed["detail"] == "crashed: RuntimeError('synthetic failure')"
 
 
 def test_console_entry_point():
