@@ -23,64 +23,28 @@ from . import coulomb, energy, fields, flow, profile, sphere, verify
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 SEED_LIMIT = 2 ** 128          # Philox keys lie in [0, 2^128)
-LATTICE_KEYS = ("moduli_n", "coulomb_n", "z_n")   # points per lattice axis
+ALPHA = (1.0, 2.0)
+LAMBDA = (1.0, 1.0e4)
 # --adhm values where charge is accurate (within 1e-11 of 1); energy takes
 # the same bounds
 ADHM_SCALE = (1.0e-2, 1.0e2)
 ADHM_XI = 1.0e2
+ADHM_RULE = "|XI| <= %g and SCALE in [%g, %g]" % (ADHM_XI, *ADHM_SCALE)
+# size caps (2 cores, numpy 2.4): leggauss(2n) at n = 1024, the doubling
+# grid, takes about 1 s and 94 MB; building the 31^4 gauge chart 1.3 s and
+# 550 MB
+QUAD_MAX = 1024
+LATTICE_MAX = 31
+GRID_MAX = 10000
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_value(text):
-    try:
-        v = int(text)
-    except ValueError:
-        try:
-            v = float(text)
-        except ValueError:
-            return text
-    return v
-
-
-def read_config(path):
-    """Flat key=value file; '#' starts a comment; blank lines ignored."""
-    cfg = {}
-    try:
-        with open(path) as fh:
-            for ln, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError("%s:%d: expected key=value, got %r"
-                                     % (path, ln, raw.strip()))
-                k, v = line.split("=", 1)
-                cfg[k.strip()] = _parse_value(v.strip())
-    except OSError as err:
-        raise UsageError("cannot read config file: %s" % err)
-    return cfg
-
-
-def apply_overrides(cfg, overrides):
-    for item in overrides or []:
-        if "=" not in item:
-            raise UsageError("override must be key=value, got %r" % item)
-        k, v = item.split("=", 1)
-        cfg[k.strip()] = _parse_value(v.strip())
-    return cfg
-
-
-def _check_range(name, value, lo, hi):
-    if not (lo <= value <= hi):
-        raise UsageError("parameter out of range: %s = %g (allowed [%g, %g])"
-                         % (name, value, lo, hi))
-
-
 def _arg_type(kind, ok, rule):
-    """argparse type: a value of `kind` for which ok(value) holds."""
+    """argparse type: a value of `kind` for which ok(value) holds; `rule`
+    states the range, in the error and in the flag's help."""
     def parse(text):
         try:
             v = kind(text)
@@ -88,54 +52,83 @@ def _arg_type(kind, ok, rule):
             raise argparse.ArgumentTypeError("invalid %s value: %r"
                                              % (kind.__name__, text))
         if not ok(v):
-            raise argparse.ArgumentTypeError("must be %s, got %r" % (rule, text))
+            raise argparse.ArgumentTypeError("%r out of range: must be %s"
+                                             % (text, rule))
         return v
+    parse.rule = rule
     return parse
 
 
+def _between(kind, lo, hi):
+    return _arg_type(kind, lambda v: lo <= v <= hi, "in [%g, %g]" % (lo, hi))
+
+
+_alpha = _between(float, *ALPHA)
+_lambda = _between(float, *LAMBDA)
+_quad_size = _between(int, 1, QUAD_MAX)
+_lattice_size = _between(int, 2, LATTICE_MAX)
+_grid_count = _between(int, 1, GRID_MAX)
 _positive_int = _arg_type(int, lambda v: v >= 1, ">= 1")
-_lattice_size = _arg_type(int, lambda v: v >= 2, ">= 2")
 _seed = _arg_type(int, lambda v: 0 <= v < SEED_LIMIT, "in [0, 2^128)")
 _finite = _arg_type(float, math.isfinite, "finite")
 _positive = _arg_type(float, lambda v: 0.0 < v < math.inf,
                       "positive and finite")
 
 
-def _parse_grid(text):
-    """a:b:n -> n geometrically spaced values from a to b."""
+def _lambda_grid(text):
+    """A:B:N -> N geometrically spaced dilation parameters from A to B."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError("grid must be start:stop:count, got %r" % text)
-    try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise UsageError("grid must be start:stop:count of numbers, got %r"
-                         % text)
-    if not (n >= 1 and 0 < a <= b < math.inf):
-        raise UsageError("grid must satisfy 0 < start <= stop < inf, "
-                         "count >= 1")
+        raise argparse.ArgumentTypeError("must be A:B:N, got %r" % text)
+    a, b, n = _lambda(parts[0]), _lambda(parts[1]), _grid_count(parts[2])
+    if a > b:
+        raise argparse.ArgumentTypeError("must have A <= B, got %r" % text)
     return np.geomspace(a, b, n)
 
 
-def _check_config(cfg):
-    """Each value must have the type of its verify.DEFAULTS entry (an int
-    passes for a float); the seed must lie in [0, 2^128), every lattice size
-    be >= 2 and every other count and tolerance > 0."""
-    unknown = set(cfg) - set(verify.DEFAULTS)
-    if unknown:
-        raise UsageError("unknown config keys: %s" % ", ".join(sorted(unknown)))
-    for key in sorted(cfg):
-        v, want = cfg[key], type(verify.DEFAULTS[key])
-        if not (type(v) is want or (want is float and type(v) is int)):
-            raise UsageError("config value %s = %r must be of type %s"
-                             % (key, v, want.__name__))
-        if key == "seed" and not 0 <= v < SEED_LIMIT:
-            raise UsageError("config value seed = %d must lie in [0, 2^128)"
-                             % v)
-        if key in LATTICE_KEYS and v < 2:
-            raise UsageError("config value %s = %d must be >= 2" % (key, v))
-        if key != "seed" and not v > 0:
-            raise UsageError("config value %s = %r must be > 0" % (key, v))
+# each verify config key's validator: the seed and the grid sizes have their
+# own, every other int is a count >= 1 and every float a positive tolerance
+CONFIG_TYPES = {k: _positive_int if type(v) is int else _positive
+                for k, v in verify.DEFAULTS.items()}
+CONFIG_TYPES.update(seed=_seed, radial_n=_quad_size, moduli_n=_lattice_size,
+                    coulomb_n=_lattice_size, z_n=_lattice_size)
+
+
+def _set_config(cfg, text, where):
+    """Store key=value in cfg, the value converted by its key's validator."""
+    if "=" not in text:
+        raise UsageError("%s: expected key=value, got %r" % (where, text))
+    k, v = (s.strip() for s in text.split("=", 1))
+    if k not in CONFIG_TYPES:
+        raise UsageError("%s: unknown config key %r" % (where, k))
+    try:
+        cfg[k] = CONFIG_TYPES[k](v)
+    except argparse.ArgumentTypeError as err:
+        raise UsageError("%s: config value %s: %s" % (where, k, err))
+
+
+def read_config(path):
+    """Flat key=value UTF-8 file; '#' starts a comment; blank lines ignored."""
+    cfg = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for ln, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    _set_config(cfg, line, "%s:%d" % (path, ln))
+    except OSError as err:
+        raise UsageError("cannot read config file %s: %s"
+                         % (path, err.strerror))
+    except UnicodeDecodeError as err:
+        raise UsageError("cannot read config file %s: not UTF-8 (%s)"
+                         % (path, err.reason))
+    return cfg
+
+
+def apply_overrides(cfg, overrides):
+    for item in overrides or []:
+        _set_config(cfg, item, "-o %s" % item)
+    return cfg
 
 
 def _adhm_model(adhm):
@@ -144,8 +137,9 @@ def _adhm_model(adhm):
     if adhm is None:
         return fields.basic_connection()
     x0, scale = adhm
-    _check_range("--adhm SCALE", scale, *ADHM_SCALE)
-    _check_range("--adhm |XI|", abs(x0), 0.0, ADHM_XI)
+    if not (ADHM_SCALE[0] <= scale <= ADHM_SCALE[1] and abs(x0) <= ADHM_XI):
+        raise UsageError("--adhm %g %g out of range: must have %s"
+                         % (x0, scale, ADHM_RULE))
     xi = np.zeros(4)
     xi[0] = x0
     return fields.Adhm(xi if x0 != 0 else None, scale)
@@ -170,7 +164,6 @@ def _open_output(path):
 def cmd_verify(args):
     cfg = read_config(args.config) if args.config else {}
     apply_overrides(cfg, args.override)
-    _check_config(cfg)
     with _open_output(args.report) as out:
         report = verify.run_suite(cfg, log=lambda s: print(s, flush=True))
         out.write(report.to_json() + "\n")
@@ -183,8 +176,6 @@ def cmd_energy(args):
     """The centred instanton of scale s at twist lambda is the basic one
     dilated by x = s lambda, evaluated on the dilation profile (by the
     lambda <-> 1/lambda symmetry when x < 1)."""
-    _check_range("alpha", args.alpha, 1.0, 2.0)
-    _check_range("lambda", args.lam, 1.0, 1.0e4)
     model = _adhm_model(args.adhm)
     if not model.is_radial:
         raise UsageError("energy has no quadrature route for an off-centre "
@@ -205,13 +196,9 @@ def cmd_charge(args):
 
 
 def cmd_profile(args):
-    _check_range("alpha", args.alpha, 1.0, 2.0)
-    lams = _parse_grid(args.lambda_grid)
-    _check_range("lambda", float(lams[0]), 1.0, 1.0e4)
-    _check_range("lambda", float(lams[-1]), 1.0, 1.0e4)
     with _open_output(args.output) as out:
         rows = [profile.profile_point(args.alpha, float(lam), n=args.n)
-                for lam in lams]
+                for lam in args.lambda_grid]
         w = csv.writer(out)
         w.writerow(["alpha", "lambda", "tau", "sigma", "G", "Gprime",
                     "gap", "dE_dloglog", "residual"])
@@ -223,16 +210,15 @@ def cmd_profile(args):
 
 
 def cmd_flow(args):
-    _check_range("alpha", args.alpha, 1.0, 2.0)
-    _check_range("lambda", args.lam, 1.0, 1.0e4)
     with _open_output(args.output) as out:
         rng = np.random.Generator(np.random.Philox(key=args.seed))
-        prof = flow.random_flow_seed(rng, amp=args.perturb)
         cfg = flow.FlowConfig(alpha=args.alpha, lam=args.lam,
                               max_steps=args.max_steps)
         try:
-            # the line search rejects steps whose energy overflows
+            # the line search rejects steps whose energy overflows, and so
+            # every step from a seed that a huge --perturb overflowed
             with np.errstate(over="ignore", invalid="ignore"):
+                prof = flow.random_flow_seed(rng, amp=args.perturb)
                 res = flow.run_flow(prof, cfg)
         except flow.FlowError as err:
             print("flow failed: %s" % err, file=sys.stderr)
@@ -248,7 +234,11 @@ def cmd_flow(args):
 def cmd_gaugefix(args):
     with _open_output(args.output) as out:
         rng = np.random.Generator(np.random.Philox(key=args.seed))
-        c = flow.random_flow_seed(rng, amp=args.perturb, s_range=(0.1, 5.0))
+        # a huge --perturb overflows the seed to inf: the support gate
+        # rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = flow.random_flow_seed(rng, amp=args.perturb,
+                                      s_range=(0.1, 5.0))
         lat = sphere.Lattice4D(3.0, args.n)
         try:
             res = coulomb.coulomb_project(c, tol=args.tol, lattice=lat)
@@ -284,46 +274,60 @@ def build_parser():
                                     "(default: stdout)")
     q.set_defaults(func=cmd_verify)
 
+    alpha = dict(type=_alpha, required=True,
+                 help="exponent of the alpha-energy, " + _alpha.rule)
+    lam = dict(dest="lam", type=_lambda, default=1.0,
+               help="dilation twist parameter, " + _lambda.rule)
+    adhm = dict(nargs=2, type=_finite, metavar=("XI", "SCALE"),
+                help="instanton centre (first coordinate) and scale, "
+                     + ADHM_RULE)
+    quad_n = dict(type=_quad_size, default=96,
+                  help="quadrature size, " + _quad_size.rule)
+    perturb = dict(type=_finite, default=0.05,
+                   help="perturbation amplitude, " + _finite.rule)
+    seed = dict(type=_seed, default=0, help="random seed, " + _seed.rule)
+
     q = sub.add_parser("energy", help="alpha-energy of an instanton")
-    q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0,
-                   help="dilation twist parameter")
-    q.add_argument("--adhm", nargs=2, type=_finite, metavar=("XI", "SCALE"),
-                   help="instanton center (first coordinate) and scale")
-    q.add_argument("--n", type=_positive_int, default=96,
-                   help="quadrature size")
+    q.add_argument("--alpha", **alpha)
+    q.add_argument("--lam", "--lambda", **lam)
+    q.add_argument("--adhm", **adhm)
+    q.add_argument("--n", **quad_n)
     q.set_defaults(func=cmd_energy)
 
     q = sub.add_parser("charge", help="topological charge")
-    q.add_argument("--adhm", nargs=2, type=_finite, metavar=("XI", "SCALE"))
-    q.add_argument("--n", type=_positive_int, default=96)
+    q.add_argument("--adhm", **adhm)
+    q.add_argument("--n", **quad_n)
     q.set_defaults(func=cmd_charge)
 
     q = sub.add_parser("profile", help="dilation profile table (CSV)")
-    q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--lambda-grid", required=True, metavar="A:B:N",
-                   help="geometric grid of dilation parameters")
-    q.add_argument("--n", type=_positive_int, default=96)
+    q.add_argument("--alpha", **alpha)
+    q.add_argument("--lambda-grid", type=_lambda_grid, required=True,
+                   metavar="A:B:N",
+                   help="N geometrically spaced dilation parameters from A "
+                        "to B; A <= B, both %s; N %s"
+                        % (_lambda.rule, _grid_count.rule))
+    q.add_argument("--n", **quad_n)
     q.add_argument("--output", help="CSV path (default: stdout)")
     q.set_defaults(func=cmd_profile)
 
     q = sub.add_parser("flow", help="gradient flow from a seeded perturbation")
-    q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
-    q.add_argument("--perturb", type=_finite, default=0.05,
-                   help="perturbation amplitude")
-    q.add_argument("--seed", type=_seed, default=0)
-    q.add_argument("--max-steps", type=_positive_int, default=20000)
+    q.add_argument("--alpha", **alpha)
+    q.add_argument("--lam", "--lambda", **lam)
+    q.add_argument("--perturb", **perturb)
+    q.add_argument("--seed", **seed)
+    q.add_argument("--max-steps", type=_positive_int, default=20000,
+                   help="step limit, " + _positive_int.rule)
     q.add_argument("--output", help="trajectory CSV path (default: stdout)")
     q.set_defaults(func=cmd_flow)
 
     q = sub.add_parser("gaugefix", help="project a seeded perturbation to "
                                         "the gauge slice")
-    q.add_argument("--perturb", type=_finite, default=0.05)
-    q.add_argument("--seed", type=_seed, default=0)
-    q.add_argument("--tol", type=_positive, default=1e-8)
+    q.add_argument("--perturb", **perturb)
+    q.add_argument("--seed", **seed)
+    q.add_argument("--tol", type=_positive, default=1e-8,
+                   help="residual tolerance, " + _positive.rule)
     q.add_argument("--n", type=_lattice_size, default=15,
-                   help="lattice points per axis")
+                   help="lattice points per axis, " + _lattice_size.rule)
     q.add_argument("--output", help="iteration log CSV path (default: stdout)")
     q.set_defaults(func=cmd_gaugefix)
     return p

@@ -260,14 +260,8 @@ def polarization_residuals(c1, c2, zeta, h=FD_STEP):
 # commutator bounds
 # ---------------------------------------------------------------------------
 
-# frame components of the basic curvature: F^_ab = (1/2) * pattern
-_P = np.zeros((4, 4, 3))
-for _i, _j, _m, _s in [(0, 1, 0, 1.0), (2, 3, 0, -1.0),
-                       (0, 2, 1, 1.0), (1, 3, 1, 1.0),
-                       (0, 3, 2, 1.0), (1, 2, 2, -1.0)]:
-    _P[_i, _j, _m] = _s
-    _P[_j, _i, _m] = -_s
-BASIC_FRAME_CURVATURE = 0.5 * _P
+# frame components of the basic curvature: F^_ab = (1/2) M_ab
+BASIC_FRAME_CURVATURE = 0.5 * fields.M_TENSOR
 
 
 def commutator_bound_check(A, B):

@@ -13,6 +13,11 @@ from ymalpha.energy import BASIC_YM_ALPHA
 # the cheap deterministic subset used for CLI-mechanics tests (the full
 # suite runs once in test_acceptance)
 FAST = [e for e in verify.CHECKS if e[0] in ("basic-energy", "charge-asd")]
+HUGE = str(10 ** 30)
+
+
+def _refuse_suite(cfg, log=None):
+    raise AssertionError("the suite ran on an invalid config")
 
 
 def test_energy_value(capsys):
@@ -94,6 +99,47 @@ def test_bad_arguments_exit_usage():
                  ["energy", "--alpha", "1.5", "--adhm", "0", "10000"],
                  ["energy", "--alpha", "1.5", "--adhm", "0", "0.009"]):
         assert cli.main(argv) == 2, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["charge", "--n", HUGE],
+    ["profile", "--alpha", "1.5", "--lambda-grid", "1:2:" + HUGE],
+    ["profile", "--alpha", "1.5", "--lambda-grid", "1:2:2", "--n", HUGE],
+    ["gaugefix", "--n", HUGE],
+], ids=["charge-n", "profile-grid-count", "profile-n", "gaugefix-n"])
+def test_huge_size_exits_usage(argv, tmp_path, capsys):
+    # refused by the parser: no traceback, and no output file opened
+    out = tmp_path / "out.csv"
+    if argv[0] != "charge":
+        argv = argv + ["--output", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "usage:" in err
+    assert "out of range" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, top", [
+    ("energy --alpha 1.5 --n {}", 1024),
+    ("charge --n {}", 1024),
+    ("profile --alpha 1.5 --lambda-grid 1:2:2 --n {}", 1024),
+    ("profile --alpha 1.5 --lambda-grid 1:2:{}", 10000),
+    ("gaugefix --n {}", 31),
+], ids=["energy-n", "charge-n", "profile-n", "grid-count", "gaugefix-n"])
+def test_size_maximum_at_parser(argv, top, capsys):
+    # parsed only: no quadrature or lattice is built at these sizes
+    parser = cli.build_parser()
+    parser.parse_args(argv.format(top).split())
+    with pytest.raises(SystemExit):
+        parser.parse_args(argv.format(top + 1).split())
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_help_states_bounds(capsys):
+    assert cli.main(["energy", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "quadrature size, in [1, 1024]" in out
+    assert "in [1, 2]" in out and "in [1, 10000]" in out
 
 
 def test_adhm_range_ends_accepted(capsys):
@@ -191,12 +237,23 @@ def test_verify_unknown_key(tmp_path, capsys):
     cfgf = tmp_path / "bad.cfg"
     cfgf.write_text("not_a_real_key = 3\n")
     assert cli.main(["verify", "--config", str(cfgf)]) == 2
+    assert "not_a_real_key" in capsys.readouterr().err
+
+
+def test_undecodable_config_exits_usage(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "run_suite", _refuse_suite)
+    cfgf = tmp_path / "binary.cfg"
+    cfgf.write_bytes(b"\xffseed = 1\n")
+    assert cli.main(["verify", "--config", str(cfgf)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfgf) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("item", [
     "radial_n=abc", "radial_n=96.5", "seed=1.5", "quad_rtol=tight",
     "quad_rtol=0", "quad_rtol=-1e-8", "quad_rtol=nan", "flow_seeds=0",
     "seed=-1", "seed=%d" % 2 ** 128, "moduli_n=1", "coulomb_n=1", "z_n=1",
+    "radial_n=" + HUGE, "quad_rtol=inf",
 ])
 def test_verify_rejects_bad_config_values(item, monkeypatch):
     def run_suite(cfg, log=None):
@@ -216,6 +273,18 @@ def test_verify_accepts_int_for_float_key(tmp_path, monkeypatch):
                    "--report", str(tmp_path / "r.json")])
     assert rc == 0
     assert seen == [{"quad_rtol": 1, "seed": 0}]
+    # each value takes its key's type
+    assert type(seen[0]["quad_rtol"]) is float and type(seen[0]["seed"]) is int
+
+
+def test_config_size_maxima():
+    cfg = cli.apply_overrides({}, ["radial_n=1024", "moduli_n=31",
+                                   "coulomb_n=31", "z_n=31"])
+    assert cfg == {"radial_n": 1024, "moduli_n": 31, "coulomb_n": 31,
+                   "z_n": 31}
+    for item in ("radial_n=1025", "moduli_n=32", "coulomb_n=32", "z_n=32"):
+        with pytest.raises(cli.UsageError, match="out of range"):
+            cli.apply_overrides({}, [item])
 
 
 def test_config_parsing(tmp_path):

@@ -155,6 +155,14 @@ def test_polarization_residual_order():
     assert rf1 / rf2 > 3.0 and rd1 / rd2 > 3.0
 
 
+def test_basic_frame_curvature_constant():
+    # the basic connection's curvature has constant frame components
+    zeta = np.random.default_rng(11).normal(scale=2.0, size=(200, 4))
+    F = variational.frame_curvature(fields.basic_connection(), zeta)
+    np.testing.assert_allclose(F - variational.BASIC_FRAME_CURVATURE, 0.0,
+                               atol=1e-15)
+
+
 def test_commutator_bounds():
     A = rng.normal(size=(2000, 4, 3))
     B = rng.normal(size=(2000, 4, 4, 3))
