@@ -36,6 +36,10 @@ ADHM_RULE = "|XI| <= %g and SCALE in [%g, %g]" % (ADHM_XI, *ADHM_SCALE)
 QUAD_MAX = 1024
 LATTICE_MAX = 31
 GRID_MAX = 10000
+# verify counts: a lower-bound draw takes about 2 ms and a flow seed about
+# 2.5 s, so either maximum is a run of about four minutes
+DRAWS_MAX = 100000
+FLOW_SEEDS_MAX = 100
 
 
 class UsageError(Exception):
@@ -86,12 +90,25 @@ def _lambda_grid(text):
     return np.geomspace(a, b, n)
 
 
-# each verify config key's validator: the seed and the grid sizes have their
-# own, every other int is a count >= 1 and every float a positive tolerance
-CONFIG_TYPES = {k: _positive_int if type(v) is int else _positive
-                for k, v in verify.DEFAULTS.items()}
-CONFIG_TYPES.update(seed=_seed, radial_n=_quad_size, moduli_n=_lattice_size,
+# each verify config key's validator: the seed, every count and every size
+# have their own range, every tolerance is positive and finite
+CONFIG_TYPES = dict(seed=_seed, lower_bound_draws=_between(int, 1, DRAWS_MAX),
+                    flow_seeds=_between(int, 1, FLOW_SEEDS_MAX),
+                    radial_n=_quad_size, moduli_n=_lattice_size,
                     coulomb_n=_lattice_size, z_n=_lattice_size)
+CONFIG_TYPES.update((k, _positive) for k, v in verify.DEFAULTS.items()
+                    if type(v) is float)
+
+
+def _config_rules():
+    """The config value rules for --help, keys of one rule together."""
+    keys = {}
+    for k, kind in CONFIG_TYPES.items():
+        if kind is not _positive:
+            keys.setdefault(kind.rule, []).append(k)
+    return "; ".join(["%s %s" % (", ".join(ks), rule)
+                      for rule, ks in keys.items()]
+                     + ["every tolerance " + _positive.rule])
 
 
 def _set_config(cfg, text, where):
@@ -269,7 +286,7 @@ def build_parser():
     q = sub.add_parser("verify", help="run the verification suite")
     q.add_argument("--config", help="flat key=value configuration file")
     q.add_argument("-o", "--override", action="append", metavar="KEY=VALUE",
-                   help="override a config value")
+                   help="override a config value: " + _config_rules())
     q.add_argument("--report", help="write the JSON report here "
                                     "(default: stdout)")
     q.set_defaults(func=cmd_verify)
@@ -330,6 +347,8 @@ def build_parser():
                    help="lattice points per axis, " + _lattice_size.rule)
     q.add_argument("--output", help="iteration log CSV path (default: stdout)")
     q.set_defaults(func=cmd_gaugefix)
+    for q in sub.choices.values():
+        q.set_defaults(parser=q)      # a post-parse error shows its usage
     return p
 
 
@@ -341,9 +360,9 @@ def main(argv=None):
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as err:
-        print("error: %s" % err, file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
+    except UsageError as err:       # reported as the subcommand's parser would
+        args.parser.print_usage(sys.stderr)
+        print("%s: error: %s" % (args.parser.prog, err), file=sys.stderr)
         return EXIT_USAGE
 
 

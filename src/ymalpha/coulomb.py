@@ -14,10 +14,11 @@ truncation boundary carries no data.
 
 With D_a the centred difference, C_a sig = [Gamma_a, sig] and W = phi^2,
   L = sum_a (D_a + C_a)^T W (D_a + C_a)
-is applied from three parts assembled once per chart: the scalar stencil
-sum_a D_a^T W D_a (one N x N sparse matrix shared by the three components),
-the pointwise sum_a C_a^T W C_a, and the cross terms, which collapse onto the
-lattice edges.
+is assembled once per chart from three parts: the scalar stencil
+sum_a D_a^T W D_a (shared by the three components), the pointwise
+sum_a C_a^T W C_a, and the cross terms, which collapse onto the lattice edges.
+When L fits CSR_BUDGET bytes as one 3N x 3N CSR matrix the chart holds that
+matrix; above it the chart holds the parts and applies them in turn.
 """
 
 import csv
@@ -28,7 +29,6 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import minimize
 from scipy.sparse import csr_array
-from scipy.sparse.linalg import LinearOperator, cg
 
 from . import quat, fields
 from .quat import bracket, conjugate_im, exp_im, im_part, qconj, qmul
@@ -36,6 +36,11 @@ from .sphere import ConformalMap, central_diff, pairwise_sum, round_weight
 
 
 MAX_OUTER = 30          # outer defect-correction iterations before giving up
+CG_MAXITER = 2000       # conjugate-gradient iterations before giving up
+# L is held as one CSR matrix up to this size: 1.6 MB at n = 7 and 4.9 MB at
+# n = 9; above it (11.3 MB at n = 11, 41.5 MB at n = 15) the parts are held,
+# at about a third of the matrix's size
+CSR_BUDGET = 8_000_000
 
 
 class CoulombError(RuntimeError):
@@ -49,14 +54,14 @@ def _axis_slice(a, start, stop):
     return tuple(idx)
 
 
-def _scalar_part(w, h):
-    """sum_a D_a^T diag(w) D_a as an N x N CSR matrix with int32 indices.
+def _stencil(w, h):
+    """The slots of sum_a D_a^T diag(w) D_a at each node, (n,n,n,n,9).
 
     D_a is the centred difference with zero padding, so row x couples x to
     x -+ 2 e_a with weight -w(x -+ e_a) / 4h^2, and its diagonal sums
-    w(x -+ e_a) / 4h^2 over the neighbours inside the lattice.  The nine
-    slots of a row are in ascending column order."""
-    n = w.shape[0]
+    w(x -+ e_a) / 4h^2 over the neighbours inside the lattice.  Slot a holds
+    x - 2 e_a, slot 4 the diagonal and slot 8 - a x + 2 e_a: ascending
+    column order."""
     vals = np.zeros(w.shape + (9,))
     for a in range(4):
         lo, hi = _axis_slice(a, 0, -1), _axis_slice(a, 1, None)
@@ -65,14 +70,32 @@ def _scalar_part(w, h):
         mid = w[_axis_slice(a, 1, -1)]
         vals[_axis_slice(a, 0, -2) + (8 - a,)] = -mid
         vals[_axis_slice(a, 2, None) + (a,)] = -mid
-    vals = vals.reshape(w.size, 9) / (4.0 * h * h)
-    keep = vals != 0.0              # w > 0: the nonzeros are the stencil
-    stride = n ** np.arange(3, -1, -1)
+    return vals / (4.0 * h * h)
+
+
+def _strides(n):
+    """Node-index stride of each lattice axis."""
+    return n ** np.arange(3, -1, -1)
+
+
+def _csr(vals, offsets):
+    """CSR matrix of the nonzero slots of vals, (N, k, S) for N nodes with k
+    components: row k x + i holds vals[x, i, s] in column k x + offsets[i, s].
+    Slots outside the lattice hold zero and are dropped; indices are int32."""
+    N, k, S = vals.shape
+    keep = vals != 0.0
+    cols = (k * np.arange(N, dtype=np.int32))[:, None, None] \
+        + offsets.astype(np.int32)
+    indptr = np.zeros(N * k + 1, np.int32)
+    np.cumsum(keep.sum(axis=-1, dtype=np.int32), out=indptr[1:])
+    return csr_array((vals[keep], cols[keep], indptr), shape=(N * k, N * k))
+
+
+def _scalar_part(stencil):
+    """sum_a D_a^T W D_a as an N x N CSR matrix, from its _stencil slots."""
+    stride = _strides(stencil.shape[0])
     offsets = np.concatenate([-2 * stride, [0], 2 * stride[::-1]])
-    cols = np.arange(w.size, dtype=np.int32)[:, None] + offsets.astype(np.int32)
-    indptr = np.zeros(w.size + 1, np.int32)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return csr_array((vals[keep], cols[keep], indptr), shape=(w.size, w.size))
+    return _csr(stencil.reshape(-1, 1, 9), offsets[None])
 
 
 def _pointwise_part(w, gamma):
@@ -96,6 +119,52 @@ def _edge_fields(w, gamma, h):
             / (2.0 * h) for a in range(4)]
 
 
+_SYM = ((0, 3, 4), (3, 1, 5), (4, 5, 2))    # _pointwise_part entry of (i, j)
+
+
+def _laplace_matrix(stencil, pointwise, edges):
+    """L as one 3N x 3N CSR matrix, from the three parts.
+
+    Row (x, i) couples to x -+ 2 e_a in component i (the scalar stencil), to
+    x in all three components (the scalar diagonal plus the pointwise field),
+    to x + e_a through the block -2[Q_a(x)]_x and to x - e_a through
+    +2[Q_a(x - e_a)]_x, where [q]_x s = q x s.  Its 27 slots are in ascending
+    column order: per axis a, x - 2 e_a at 3a and x - e_a at 3a + 1, 3a + 2;
+    x at 12 to 14; x + e_a at 24 - 3a, 25 - 3a and x + 2 e_a at 26 - 3a."""
+    stride = _strides(stencil.shape[0])
+    vals = np.zeros(stencil.shape[:4] + (3, 27))
+    offsets = np.empty((3, 27), np.int32)
+    for i in range(3):
+        offsets[i, 12:15] = range(3)
+        for j in range(3):
+            vals[..., i, 12 + j] = pointwise[_SYM[i][j]]
+        vals[..., i, 12 + i] += stencil[..., 4]
+        for a, q in enumerate(edges):
+            lo, hi = _axis_slice(a, 0, -1), _axis_slice(a, 1, None)
+            back, fwd, s3 = 3 * a, 24 - 3 * a, 3 * stride[a]
+            vals[..., i, back] = stencil[..., a]
+            vals[..., i, fwd + 2] = stencil[..., 8 - a]
+            offsets[i, back], offsets[i, fwd + 2] = -2 * s3 + i, 2 * s3 + i
+            for t, j in enumerate(sorted({0, 1, 2} - {i})):
+                k = 3 - i - j           # ([q]_x)_ij = -eps_ijk q_k
+                c = (2.0 if (i - j) % 3 == 1 else -2.0) * q[..., k]
+                vals[hi + (i, back + 1 + t)] = c
+                vals[lo + (i, fwd + t)] = -c
+                offsets[i, back + 1 + t], offsets[i, fwd + t] = -s3 + j, s3 + j
+    return _csr(vals.reshape(-1, 3, 27), offsets)
+
+
+def _matrix_bytes(stencil, pointwise, edges):
+    """Bytes of _laplace_matrix(stencil, pointwise, edges), counted from the
+    parts: each nonzero stencil slot gives one entry per component, each
+    nonzero off-diagonal pointwise entry two, and each nonzero edge
+    component four (two rows in each of the edge's two blocks)."""
+    nnz = (3 * np.count_nonzero(stencil) + 2 * np.count_nonzero(pointwise[3:])
+           + 4 * sum(np.count_nonzero(q) for q in edges))
+    rows = 3 * stencil[..., 0].size
+    return 12 * nnz + 4 * (rows + 1)      # float64 data, int32 indices
+
+
 class BasicChart:
     """Cached basic-connection lattice data and the covariant elliptic solver."""
 
@@ -114,9 +183,13 @@ class BasicChart:
         for a in range(4):
             diag += (np.roll(self.phi2, 1, axis=a) + np.roll(self.phi2, -1, axis=a))
         self._pdiag = diag / (4.0 * lat.h ** 2)
-        self._scalar = _scalar_part(self.phi2, lat.h)
-        self._pointwise = _pointwise_part(self.phi2, self.gamma)
-        self._edges = _edge_fields(self.phi2, self.gamma, lat.h)
+        parts = (_stencil(self.phi2, lat.h),
+                 _pointwise_part(self.phi2, self.gamma),
+                 _edge_fields(self.phi2, self.gamma, lat.h))
+        if _matrix_bytes(*parts) <= CSR_BUDGET:
+            self._matrix, self._parts = _laplace_matrix(*parts), None
+        else:
+            self._matrix, self._parts = None, (_scalar_part(parts[0]),) + parts[1:]
 
     @cached_property
     def basic_curvature(self):
@@ -141,14 +214,16 @@ class BasicChart:
         return acc
 
     def laplace(self, sig):
-        """divergence(D sig), applied from the parts assembled at __init__."""
-        out = (self._scalar @ sig.reshape(-1, 3)).reshape(sig.shape)
-        m = self._pointwise
+        """divergence(D sig), from the matrix or the parts built at __init__."""
+        if self._matrix is not None:
+            return (self._matrix @ sig.ravel()).reshape(sig.shape)
+        scalar, m, edges = self._parts
+        out = (scalar @ sig.reshape(-1, 3)).reshape(sig.shape)
         s0, s1, s2 = sig[..., 0], sig[..., 1], sig[..., 2]
         out[..., 0] += m[0] * s0 + m[3] * s1 + m[4] * s2
         out[..., 1] += m[3] * s0 + m[1] * s1 + m[5] * s2
         out[..., 2] += m[4] * s0 + m[5] * s1 + m[2] * s2
-        for a, q in enumerate(self._edges):
+        for a, q in enumerate(edges):
             lo, hi = _axis_slice(a, 0, -1), _axis_slice(a, 1, None)
             out[lo] -= bracket(q, sig[hi])
             out[hi] += bracket(q, sig[lo])
@@ -167,29 +242,44 @@ class BasicChart:
         return np.sqrt(pairwise_sum(n2) * self.lat.h ** 4)
 
     def solve(self, rhs, rtol=1.0e-10):
-        """CG solve of laplace(sig) = rhs; returns (sig, iterations)."""
-        shape = self.lat.shape + (3,)
-        pd = self._pdiag[..., None]
+        """Jacobi-preconditioned CG for laplace(sig) = rhs from sig = 0;
+        returns (sig, iterations)."""
+        x, its = _pcg(lambda p: self.laplace(p.reshape(rhs.shape)).ravel(),
+                      rhs.ravel(), self._pdiag.ravel(), rtol)
+        return x.reshape(rhs.shape), its
 
-        def mv(x):
-            return self.laplace(x.reshape(shape)).ravel()
 
-        def pre(x):
-            return (x.reshape(shape) / pd).ravel()
+def _pcg(apply, b, pdiag, rtol):
+    """Conjugate gradients for apply(x) = b from x = 0, preconditioned by
+    division by pdiag, whose entries each divide one block of consecutive
+    entries of b (at a chart node, its three components); returns
+    (x, iterations).
 
-        N = int(np.prod(shape))
-        A = LinearOperator((N, N), matvec=mv)
-        M = LinearOperator((N, N), matvec=pre)
-        count = [0]
-
-        def cb(_):
-            count[0] += 1
-        x, info = cg(A, rhs.ravel(), rtol=rtol, atol=0.0, maxiter=2000,
-                     M=M, callback=cb)
-        if info != 0:
-            raise CoulombError("cg-not-converged (info=%d after %d iterations)"
-                               % (info, count[0]))
-        return x.reshape(shape), count[0]
+    The loop is scipy.sparse.linalg.cg's (1.17): np.dot inner products,
+    np.linalg.norm, the stop test |r| < rtol |b| and the same in-place
+    updates, so it returns the same bits."""
+    x = np.zeros(b.size)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return x, 0
+    stop = rtol * bnorm
+    r = b.copy()
+    for it in range(CG_MAXITER):
+        if np.linalg.norm(r) < stop:
+            return x, it
+        z = (r.reshape(pdiag.size, -1) / pdiag[:, None]).ravel()
+        rho = np.dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z
+        q = apply(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    raise CoulombError("cg-not-converged after %d iterations" % CG_MAXITER)
 
 
 _charts = {}    # at most one chart: no caller alternates lattices
@@ -259,8 +349,9 @@ def coulomb_project(c, lattice, tol=1.0e-8, support_tol=0.05,
     ch = _chart(lat)
     pot = _grid_potential(c, lat)
     ups0 = pot - ch.gamma
-    sup_out = np.max(np.sqrt(np.sum(ups0 * ups0, axis=(-2, -1)))[~ch.interior],
-                     initial=0.0)
+    with np.errstate(over="ignore"):        # an overflowing sup is inf: rejected
+        sup_out = np.max(np.sqrt(np.sum(ups0 * ups0, axis=(-2, -1)))
+                         [~ch.interior], initial=0.0)
     del ups0                # read by the gate only; not held through the solves
     if sup_out > support_tol:
         raise ValueError("perturbation not supported in |zeta| <= 0.8R "

@@ -228,6 +228,32 @@ def test_gaugefix_support_gate_exits_usage(capsys):
     assert "not supported" in capsys.readouterr().err
 
 
+def _run_cli(*argv):
+    # the child imports the same ymalpha as this process, installed or not
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ymalpha.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_gaugefix_overflowing_perturbation_warns_nothing():
+    # the support gate's sup overflows to inf, which it rejects silently
+    out = _run_cli("gaugefix", "--n", "5", "--perturb", "1e200",
+                   "--output", os.devnull)
+    assert out.returncode == 2
+    assert "not supported" in out.stderr and "sup inf" in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+
+
+def test_post_parse_error_shows_subcommand_usage(capsys):
+    assert cli.main(["charge", "--adhm", "0", "1e200"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ymalpha charge ")
+    assert "ymalpha charge: error: --adhm" in err and "out of range" in err
+    assert err.count("usage:") == 1
+
+
 def test_verify_missing_config(capsys):
     rc = cli.main(["verify", "--config", "/no/such/file.cfg"])
     assert rc == 2
@@ -278,13 +304,29 @@ def test_verify_accepts_int_for_float_key(tmp_path, monkeypatch):
 
 
 def test_config_size_maxima():
+    # parsed only: no check runs at these sizes
     cfg = cli.apply_overrides({}, ["radial_n=1024", "moduli_n=31",
-                                   "coulomb_n=31", "z_n=31"])
+                                   "coulomb_n=31", "z_n=31",
+                                   "lower_bound_draws=100000",
+                                   "flow_seeds=100"])
     assert cfg == {"radial_n": 1024, "moduli_n": 31, "coulomb_n": 31,
-                   "z_n": 31}
-    for item in ("radial_n=1025", "moduli_n=32", "coulomb_n=32", "z_n=32"):
+                   "z_n": 31, "lower_bound_draws": 100000, "flow_seeds": 100}
+    for item in ("radial_n=1025", "moduli_n=32", "coulomb_n=32", "z_n=32",
+                 "lower_bound_draws=100001", "flow_seeds=101"):
         with pytest.raises(cli.UsageError, match="out of range"):
             cli.apply_overrides({}, [item])
+
+
+def test_every_config_key_has_a_validator():
+    assert set(cli.CONFIG_TYPES) == set(verify.DEFAULTS)
+
+
+def test_verify_help_states_config_rules(capsys):
+    assert cli.main(["verify", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "lower_bound_draws in [1, 100000]" in out
+    assert "flow_seeds in [1, 100]" in out
+    assert "moduli_n, coulomb_n, z_n in [2, 31]" in out
 
 
 def test_config_parsing(tmp_path):
@@ -351,11 +393,6 @@ def test_crashing_check_exits_one(tmp_path, monkeypatch, capsys):
 
 
 def test_console_entry_point():
-    # the child imports the same ymalpha as this process, installed or not
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-m", "ymalpha.cli", "--help"],
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=path))
+    out = _run_cli("--help")
     assert out.returncode == 0
     assert "verify" in out.stdout and "gaugefix" in out.stdout

@@ -31,7 +31,9 @@ VALUES = {
     "report": [os.devnull, "/nonexistent/r.json", "r.json"],
     "config": ["good.cfg", "malformed.cfg", "binary.cfg"],
     "override": ["seed=1", "radial_n=16", "quad_rtol=1", "z_n=32",
-                 "radial_n=" + HUGE, "quad_rtol=inf", "nope=1", "seed", "=1"],
+                 "radial_n=" + HUGE, "quad_rtol=inf", "nope=1", "seed", "=1",
+                 "lower_bound_draws=100000", "lower_bound_draws=100001",
+                 "flow_seeds=100", "flow_seeds=101"],
 }
 CONFIG_FILES = {"good.cfg": b"seed = 4  # comment\nradial_n = 16\n",
                 "malformed.cfg": b"seed\n", "binary.cfg": b"\xffseed = 1\n"}

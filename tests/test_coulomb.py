@@ -2,6 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, cg
 
 from ymalpha import coulomb, fields, flow, quat, sphere
 from ymalpha.sphere import Lattice4D
@@ -62,6 +63,96 @@ def test_laplace_is_divergence_of_gradient(n):
     want = ch.divergence(oracle_cov_grad(ch, sig))
     got = ch.laplace(sig)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _parts_chart(lat):
+    """A chart of lat that applies L from its three parts, whatever its size."""
+    ch = coulomb.BasicChart(lat)
+    w, h = ch.phi2, lat.h
+    stencil = coulomb._stencil(w, h)
+    ch._matrix, ch._parts = None, (coulomb._scalar_part(stencil),
+                                   coulomb._pointwise_part(w, ch.gamma),
+                                   coulomb._edge_fields(w, ch.gamma, h))
+    return ch
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_matrix_agrees_with_parts(n):
+    lat = Lattice4D(3.0, n)
+    ch, parts = coulomb.BasicChart(lat), _parts_chart(lat)
+    for _ in range(3):
+        sig = rng.normal(size=lat.shape + (3,))
+        want = parts.laplace(sig)
+        assert np.linalg.norm(ch.laplace(sig) - want) \
+            <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_matrix_symmetric_int32_and_sized(n):
+    lat = Lattice4D(3.0, n)
+    ch = coulomb.BasicChart(lat)
+    A = ch._matrix
+    assert A.indices.dtype == A.indptr.dtype == np.int32
+    assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
+    w, h = ch.phi2, lat.h
+    size = coulomb._matrix_bytes(coulomb._stencil(w, h),
+                                 coulomb._pointwise_part(w, ch.gamma),
+                                 coulomb._edge_fields(w, ch.gamma, h))
+    assert size == A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+
+
+def test_chart_holds_matrix_or_parts():
+    small = coulomb.BasicChart(Lattice4D(3.0, 7))
+    assert small._matrix is not None and small._parts is None
+    large = coulomb.BasicChart(LAT)
+    assert large._matrix is None and large._parts is not None
+
+
+def _scipy_cg(apply, b, pdiag, rtol):
+    """scipy's cg with the chart's preconditioner; (x, iterations)."""
+    N = b.size
+    count = [0]
+
+    def cb(_):
+        count[0] += 1
+    x, info = cg(LinearOperator((N, N), matvec=apply), b, rtol=rtol, atol=0.0,
+                 maxiter=coulomb.CG_MAXITER, callback=cb,
+                 M=LinearOperator((N, N), matvec=lambda v: (
+                     v.reshape(pdiag.size, -1) / pdiag[:, None]).ravel()))
+    assert info == 0
+    return x, count[0]
+
+
+def test_cg_loop_is_scipys_on_chart():
+    lat = Lattice4D(3.0, 7)
+    ch = coulomb._chart(lat)
+    rhs = ch.divergence(rng.normal(size=lat.shape + (4, 3))
+                        * ch.interior[..., None, None])
+    x, its = ch.solve(rhs, rtol=1e-8)
+    want, want_its = _scipy_cg(
+        lambda v: ch.laplace(v.reshape(rhs.shape)).ravel(), rhs.ravel(),
+        ch._pdiag.ravel(), 1e-8)
+    assert its == want_its > 0
+    assert np.array_equal(x.ravel(), want)
+
+
+def test_cg_loop_is_scipys_on_dense_spd():
+    g = np.random.default_rng(3)
+    B = g.normal(size=(40, 40))
+    A = B @ B.T + 40.0 * np.eye(40)
+    b, pdiag = g.normal(size=40), np.diag(A).copy()
+    x, its = coulomb._pcg(lambda v: A @ v, b, pdiag, 1e-12)
+    want, want_its = _scipy_cg(lambda v: A @ v, b, pdiag, 1e-12)
+    assert its == want_its > 0
+    assert np.array_equal(x, want)
+
+
+def test_cg_iteration_cap(monkeypatch):
+    monkeypatch.setattr(coulomb, "CG_MAXITER", 3)
+    ch = coulomb._chart(Lattice4D(3.0, 7))
+    rhs = rng.normal(size=ch.lat.shape + (3,))
+    with pytest.raises(coulomb.CoulombError, match="cg-not-converged"):
+        ch.solve(rhs)
 
 
 def test_laplace_is_symmetric():

@@ -1,6 +1,8 @@
 """The check table: each entry's id and claim reach the report whether its
-check passed, failed or crashed."""
+check passed, failed or crashed, and the quick checks 1-9 give the reference
+report's entries."""
 
+import json
 import math
 
 import pytest
@@ -33,3 +35,17 @@ def test_crashed_check_keeps_its_entry(k, monkeypatch):
     assert math.isnan(chk.computed) and chk.tolerance == 0.0
     assert [c.passed for c in rep.checks] == [j != k for j in range(12)]
     assert not rep.all_pass
+
+
+def test_checks_one_to_nine_match_reference(monkeypatch, reference_report):
+    # the first nine entries keep their indices, and so their random
+    # streams; checks 10-12 take minutes and run in test_acceptance
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:9])
+    got = json.loads(verify.run_suite().to_json())
+    ref = json.loads(reference_report)
+
+    def text(x):
+        return json.dumps(x, indent=1, sort_keys=True)
+    assert text(got["config"]) == text(ref["config"])
+    assert [text(c) for c in got["checks"]] \
+        == [text(c) for c in ref["checks"][:9]]
