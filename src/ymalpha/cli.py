@@ -182,10 +182,10 @@ def cmd_verify(args):
     cfg = read_config(args.config) if args.config else {}
     apply_overrides(cfg, args.override)
     with _open_output(args.report) as out:
-        report = verify.run_suite(cfg, log=lambda s: print(s, flush=True))
+        report = verify.run_suite(cfg, log=lambda s: print(s, file=sys.stderr))
         out.write(report.to_json() + "\n")
     n_ok = sum(c.passed for c in report.checks)
-    print("%d/%d checks passed" % (n_ok, len(report.checks)))
+    print("%d/%d checks passed" % (n_ok, len(report.checks)), file=sys.stderr)
     return EXIT_OK if report.all_pass else EXIT_FAIL
 
 

@@ -23,7 +23,7 @@ matrix; above it the chart holds the parts and applies them in turn.
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -169,8 +169,7 @@ class BasicChart:
     """Cached basic-connection lattice data and the covariant elliptic solver."""
 
     def __init__(self, lattice):
-        lat = lattice
-        self.lat = lat
+        self.lat = lat = lattice
         pts = lat.points
         self.gamma = fields.basic_connection().potential(pts) \
             .reshape(lat.shape + (4, 3))
@@ -178,7 +177,8 @@ class BasicChart:
         self.phi2 = 4.0 / (1.0 + r2) ** 2          # 1-form L^2 weight
         self.rw = round_weight(pts).reshape(lat.shape)
         self.interior = r2 <= (0.8 * lat.R) ** 2
-        # Jacobi preconditioner: diagonal of the pure -D(phi^2 D) part
+        # Jacobi preconditioner, not L's diagonal (np.roll wraps x +- e_a at the
+        # boundary; no pointwise part): L's moves the report beyond round-off
         diag = np.zeros(lat.shape)
         for a in range(4):
             diag += (np.roll(self.phi2, 1, axis=a) + np.roll(self.phi2, -1, axis=a))
@@ -255,27 +255,28 @@ def _pcg(apply, b, pdiag, rtol):
     entries of b (at a chart node, its three components); returns
     (x, iterations).
 
-    The loop is scipy.sparse.linalg.cg's (1.17): np.dot inner products,
-    np.linalg.norm, the stop test |r| < rtol |b| and the same in-place
-    updates, so it returns the same bits."""
+    Stops when |r| < rtol |b|.  Each inner product and norm is one einsum,
+    whose summation order, unlike a BLAS dot's, is the same at every thread
+    count; the tests hold the loop to scipy.sparse.linalg.cg's iteration."""
+    dot = partial(np.einsum, "i,i->")
     x = np.zeros(b.size)
-    bnorm = np.linalg.norm(b)
+    bnorm = np.sqrt(dot(b, b))
     if bnorm == 0.0:
         return x, 0
     stop = rtol * bnorm
     r = b.copy()
     for it in range(CG_MAXITER):
-        if np.linalg.norm(r) < stop:
+        if np.sqrt(dot(r, r)) < stop:
             return x, it
         z = (r.reshape(pdiag.size, -1) / pdiag[:, None]).ravel()
-        rho = np.dot(r, z)
+        rho = dot(r, z)
         if it:
             p *= rho / rho_prev
             p += z
         else:
             p = z
         q = apply(p)
-        alpha = rho / np.dot(p, q)
+        alpha = rho / dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import fields, energy
-from .sphere import RadialGrid, pairwise_sum
+from .sphere import RadialGrid, chi_lambda, pairwise_sum
 
 
 S_RANGE = (0.1, 20.0)   # active window of s = |zeta|^2
@@ -72,14 +72,13 @@ class RadialFlow:
         if alpha < 1 or lam <= 0:
             raise ValueError("need alpha >= 1 and lambda > 0")
         self.alpha = float(alpha)
-        self.lam = float(lam)
         self.grid = grid or RadialGrid(64)
         g = self.grid
         self.active = (g.s >= S_RANGE[0]) & (g.s <= S_RANGE[1])
         self.s, self.r = g.s, g.r
         self.vol_w = g.vol_w
         self.W = (1.0 + self.s) ** 4 / 16.0        # 2-form weight at knots
-        self.chi = ((1.0 + lam ** 2 * self.s) / (1.0 + self.s)) ** 4 / lam ** 4
+        self.chi = chi_lambda(g.axis_points(), lam)
         self.mass = g.vol_w * 0.75 * self.s        # |dA|^2_g = (3s/4) dg^2
         # spline differentiation matrix on [theta, pi] with pinned endpoint
         knots = np.concatenate([g.theta, [np.pi]])

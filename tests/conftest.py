@@ -12,9 +12,9 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 @pytest.fixture(scope="session")
 def reference_report():
-    """Bytes of tests/data/report.json, the default-config report at one BLAS
-    thread.  Skips where numpy or scipy is not the version it was made with,
-    since another version may move the last bits of its numbers."""
+    """Bytes of tests/data/report.json, the default-config report.  Skips
+    where numpy or scipy is not the version it was made with, since another
+    version may move the last bits of its numbers."""
     made = json.loads((DATA / "report_versions.json").read_text())
     here = {"numpy": np.__version__, "scipy": scipy.__version__}
     if made != here:

@@ -228,13 +228,27 @@ def test_gaugefix_support_gate_exits_usage(capsys):
     assert "not supported" in capsys.readouterr().err
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, **env):
     # the child imports the same ymalpha as this process, installed or not
     src = str(pathlib.Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "ymalpha.cli", *argv],
                           capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(os.environ, PYTHONPATH=path, **env))
+
+
+def test_gaugefix_log_is_thread_independent():
+    # at 9^4 OpenBLAS splits a dot product of the CG vectors between two
+    # threads (at 5^4 and 7^4 it does not), which would sum it in another
+    # order; the CG loop's sums must not see the thread count
+    runs = []
+    for k in ("1", "2"):
+        proc = _run_cli("gaugefix", "--perturb", "0.05", "--n", "9",
+                        OMP_NUM_THREADS=k, OPENBLAS_NUM_THREADS=k,
+                        MKL_NUM_THREADS=k)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, proc.stderr))
+    assert runs[0] == runs[1]
 
 
 def test_gaugefix_overflowing_perturbation_warns_nothing():
@@ -362,6 +376,19 @@ def test_verify_exit_codes_and_determinism(tmp_path, monkeypatch, capsys):
     assert not rep["all_pass"]
     bad = [c for c in rep["checks"] if not c["passed"]]
     assert any(c["id"] == "basic-energy" for c in bad)
+
+
+def test_verify_stdout_is_the_report(tmp_path, monkeypatch, capsys):
+    # the per-check log and the summary go to stderr
+    monkeypatch.setattr(verify, "CHECKS", FAST[:1])
+    path = tmp_path / "r.json"
+    assert cli.main(["verify", "--report", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify"]) == 0
+    out, err = capsys.readouterr()
+    json.loads(out)
+    assert out.encode() == path.read_bytes()
+    assert err.endswith("1/1 checks passed\n")
 
 
 def test_verify_seed_changes_report(tmp_path, monkeypatch):

@@ -123,6 +123,13 @@ def _scipy_cg(apply, b, pdiag, rtol):
     return x, count[0]
 
 
+def _max_rel_dev(x, want):
+    return np.max(np.abs(x - want)) / np.max(np.abs(want))
+
+
+# The loop's einsum sums in another order than scipy's np.dot, so the two
+# iterates part in their last bits, and further over more iterations of a
+# worse-conditioned system (49 on the chart, 24 on the dense system).
 def test_cg_loop_is_scipys_on_chart():
     lat = Lattice4D(3.0, 7)
     ch = coulomb._chart(lat)
@@ -133,7 +140,7 @@ def test_cg_loop_is_scipys_on_chart():
         lambda v: ch.laplace(v.reshape(rhs.shape)).ravel(), rhs.ravel(),
         ch._pdiag.ravel(), 1e-8)
     assert its == want_its > 0
-    assert np.array_equal(x.ravel(), want)
+    assert _max_rel_dev(x.ravel(), want) < 1e-9
 
 
 def test_cg_loop_is_scipys_on_dense_spd():
@@ -144,7 +151,7 @@ def test_cg_loop_is_scipys_on_dense_spd():
     x, its = coulomb._pcg(lambda v: A @ v, b, pdiag, 1e-12)
     want, want_its = _scipy_cg(lambda v: A @ v, b, pdiag, 1e-12)
     assert its == want_its > 0
-    assert np.array_equal(x, want)
+    assert _max_rel_dev(x, want) < 1e-12
 
 
 def test_cg_iteration_cap(monkeypatch):
