@@ -18,7 +18,13 @@ is assembled once per chart from three parts: the scalar stencil
 sum_a D_a^T W D_a (shared by the three components), the pointwise
 sum_a C_a^T W C_a, and the cross terms, which collapse onto the lattice edges.
 When L fits CSR_BUDGET bytes as one 3N x 3N CSR matrix the chart holds that
-matrix; above it the chart holds the parts and applies them in turn.
+matrix; above it the chart holds the parts and applies them in turn, on
+component-major arrays: sigma is transposed to (3, N) once in and once out,
+the scalar part acts on each component row, the pointwise field is (6, N),
+and each axis's edge field is (3, N), doubled (the bracket's factor 2) and
+zero-padded from the lattice's edges to all N nodes, so that each edge term
+is a product of two contiguous flat slices one axis stride apart.  At n = 15
+the parts hold 12.3 MB: 5.0 MB scalar CSR, 2.4 MB pointwise, 4.9 MB edges.
 """
 
 import csv
@@ -31,15 +37,17 @@ from scipy.optimize import minimize
 from scipy.sparse import csr_array
 
 from . import quat, fields
-from .quat import bracket, conjugate_im, exp_im, im_part, qconj, qmul
+from .quat import (bracket, conjugate_im, cross_components, exp_im,
+                   im_part, qconj, qmul)
 from .sphere import ConformalMap, central_diff, pairwise_sum, round_weight
 
 
 MAX_OUTER = 30          # outer defect-correction iterations before giving up
 CG_MAXITER = 2000       # conjugate-gradient iterations before giving up
 # L is held as one CSR matrix up to this size: 1.6 MB at n = 7 and 4.9 MB at
-# n = 9; above it (11.3 MB at n = 11, 41.5 MB at n = 15) the parts are held,
-# at about a third of the matrix's size
+# n = 9; above it (11.3 MB at n = 11, 41.1 MB at n = 15) the parts are held
+# component-major, at about a third of the matrix's size (3.5 MB at n = 11,
+# 12.3 MB at n = 15, the edge fields zero-padded to N nodes)
 CSR_BUDGET = 8_000_000
 
 
@@ -165,6 +173,28 @@ def _matrix_bytes(stencil, pointwise, edges):
     return 12 * nnz + 4 * (rows + 1)      # float64 data, int32 indices
 
 
+def _laplace_parts(w, gamma, h):
+    """L's three parts on the lattice: the _stencil slots, the
+    _pointwise_part entries and the _edge_fields."""
+    return _stencil(w, h), _pointwise_part(w, gamma), _edge_fields(w, gamma, h)
+
+
+def _held_parts(stencil, pointwise, edges):
+    """The parts as BasicChart.laplace applies them, on component-major
+    arrays over the N nodes: the scalar part as an N x N CSR matrix, the
+    pointwise entries (6, N), and per axis a the edge field as (3, N),
+    holding 2 Q_a (the bracket's factor 2, exact) at the edge's first node
+    and zero on the last plane of axis a, so that an edge term pairs two
+    flat slices a node stride of axis a apart."""
+    N = stencil[..., 0].size
+    held = []
+    for a, q in enumerate(edges):
+        e = np.zeros((3,) + stencil.shape[:4])
+        e[(slice(None),) + _axis_slice(a, 0, -1)] = 2.0 * np.moveaxis(q, -1, 0)
+        held.append(e.reshape(3, N))
+    return _scalar_part(stencil), pointwise.reshape(6, N), held
+
+
 class BasicChart:
     """Cached basic-connection lattice data and the covariant elliptic solver."""
 
@@ -183,13 +213,11 @@ class BasicChart:
         for a in range(4):
             diag += (np.roll(self.phi2, 1, axis=a) + np.roll(self.phi2, -1, axis=a))
         self._pdiag = diag / (4.0 * lat.h ** 2)
-        parts = (_stencil(self.phi2, lat.h),
-                 _pointwise_part(self.phi2, self.gamma),
-                 _edge_fields(self.phi2, self.gamma, lat.h))
+        parts = _laplace_parts(self.phi2, self.gamma, lat.h)
         if _matrix_bytes(*parts) <= CSR_BUDGET:
             self._matrix, self._parts = _laplace_matrix(*parts), None
         else:
-            self._matrix, self._parts = None, (_scalar_part(parts[0]),) + parts[1:]
+            self._matrix, self._parts = None, _held_parts(*parts)
 
     @cached_property
     def basic_curvature(self):
@@ -218,16 +246,23 @@ class BasicChart:
         if self._matrix is not None:
             return (self._matrix @ sig.ravel()).reshape(sig.shape)
         scalar, m, edges = self._parts
-        out = (scalar @ sig.reshape(-1, 3)).reshape(sig.shape)
-        s0, s1, s2 = sig[..., 0], sig[..., 1], sig[..., 2]
-        out[..., 0] += m[0] * s0 + m[3] * s1 + m[4] * s2
-        out[..., 1] += m[3] * s0 + m[1] * s1 + m[5] * s2
-        out[..., 2] += m[4] * s0 + m[5] * s1 + m[2] * s2
-        for a, q in enumerate(edges):
-            lo, hi = _axis_slice(a, 0, -1), _axis_slice(a, 1, None)
-            out[lo] -= bracket(q, sig[hi])
-            out[hi] += bracket(q, sig[lo])
-        return out
+        s = np.ascontiguousarray(sig.reshape(-1, 3).T)
+        out = np.stack([scalar @ c for c in s])
+        out[0] += m[0] * s[0] + m[3] * s[1] + m[4] * s[2]
+        out[1] += m[3] * s[0] + m[1] * s[1] + m[5] * s[2]
+        out[2] += m[4] * s[0] + m[5] * s[1] + m[2] * s[2]
+        N = s.shape[1]
+        # per axis, -[Q_a(x), sig(x + e_a)] = -2Q_a(x) x sig(x + e_a) and then
+        # +[Q_a(x - e_a), sig(x - e_a)]: _edge_fields' terms in their order;
+        # the padding adds exact zeros where a flat slice wraps onto the
+        # next plane
+        for e, st in zip(edges, _strides(self.lat.n)):
+            lo, hi = slice(0, N - st), slice(st, N)
+            for o, c in zip(out[:, lo], cross_components(e[:, lo], s[:, hi])):
+                o -= c
+            for o, c in zip(out[:, hi], cross_components(e[:, lo], s[:, lo])):
+                o += c
+        return np.ascontiguousarray(out.T).reshape(sig.shape)
 
     def oneform_norm(self, ups, interior_only=False):
         """L^2(dV_g) norm of a coordinate 1-form field on the lattice."""

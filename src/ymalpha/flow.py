@@ -114,15 +114,17 @@ class RadialFlow:
         """|F|^2_g of the ansatz at the knots from its (P, Q)."""
         return 24.0 * self.W * ((P + Q) ** 2 + Q * Q)
 
-    def energy(self, g):
-        dens = (3.0 + self.chi * self.rho(*self._pq(g))) ** self.alpha / self.chi
+    def energy(self, g, pq=None):
+        """The discretized energy of g; pq is g's _pq, if already computed."""
+        P, Q = self._pq(g) if pq is None else pq
+        dens = (3.0 + self.chi * self.rho(P, Q)) ** self.alpha / self.chi
         return 0.5 * pairwise_sum(self.vol_w * dens)
 
-    def grad(self, g):
-        """Exact dE/dg of the discretized energy."""
+    def grad(self, g, pq=None):
+        """Exact dE/dg of the discretized energy; pq as in energy."""
         s = self.s
         f = g / (1.0 + s)
-        P, Q = self._pq(g)
+        P, Q = self._pq(g) if pq is None else pq
         rho = self.rho(P, Q)
         c = 12.0 * self.alpha * self.vol_w * self.W \
             * (3.0 + self.chi * rho) ** (self.alpha - 1.0)
@@ -155,9 +157,9 @@ class RadialFlow:
         """L^2 distance of the potential to the basic connection."""
         return np.sqrt(pairwise_sum(self.mass * (g - 1.0) ** 2))
 
-    def dist_curv(self, g):
-        """L^2 distance of the curvature to the basic curvature."""
-        P1, Q1 = self._pq(g)
+    def dist_curv(self, P1, Q1):
+        """L^2 distance to the basic curvature of the curvature whose _pq is
+        (P1, Q1)."""
         P0, Q0 = self._pq0
         return np.sqrt(pairwise_sum(self.vol_w * self.rho(P1 - P0, Q1 - Q0)))
 
@@ -175,17 +177,19 @@ def flow_step(fl, g, dt, dt_min, e0, k1):
     """One RK4 step with an energy line search from g, whose energy is e0 and
     velocity k1 = fl.velocity(fl.grad(g)).
 
-    Returns (g_new, dt_used, E_new, rejects); dt is halved until the energy
-    decreases; raises FlowError below dt_min."""
+    Returns (g_new, dt_used, E_new, rejects, pq_new), pq_new the _pq of
+    g_new; dt is halved until the energy decreases; raises FlowError below
+    dt_min."""
     rejects = 0
     while True:
         k2 = fl.velocity(fl.grad(g + 0.5 * dt * k1))
         k3 = fl.velocity(fl.grad(g + 0.5 * dt * k2))
         k4 = fl.velocity(fl.grad(g + dt * k3))
         gn = g + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        en = fl.energy(gn)
+        pq = fl._pq(gn)
+        en = fl.energy(gn, pq)
         if np.isfinite(en) and en <= e0 + 1.0e-12 * abs(e0):
-            return gn, dt, en, rejects
+            return gn, dt, en, rejects, pq
         dt *= 0.5
         rejects += 1
         if dt < dt_min:
@@ -202,22 +206,24 @@ def run_flow(profile, config):
     fl = RadialFlow(config.alpha, grid, lam=config.lam)
     g = profile.g.copy()         # knots outside the active window stay fixed
     t, dt = 0.0, DT
-    e = fl.energy(g)
-    dg = fl.grad(g)      # one gradient per accepted state
+    pq = fl._pq(g)       # one (P, Q) and one gradient per accepted state
+    e = fl.energy(g, pq)
+    dg = fl.grad(g, pq)
     traj, dists = [], []
     reason, converged = "max_steps reached", False
     steps = 0
     dt_bad = np.inf      # smallest dt ever rejected; stay clear of it
     for steps in range(1, config.max_steps + 1):
-        g, used, e, rejects = flow_step(fl, g, dt, DT_MIN, e, fl.velocity(dg))
+        g, used, e, rejects, pq = flow_step(fl, g, dt, DT_MIN, e,
+                                            fl.velocity(dg))
         t += used
         if rejects:
             dt_bad = min(dt_bad, used * 2.0)
         dt = min(used * 1.25, 4.0 * DT, 0.75 * dt_bad)
-        dg = fl.grad(g)
+        dg = fl.grad(g, pq)
         gn = fl.grad_norm(dg)
         dc = fl.dist_conn(g)
-        traj.append((t, used, e, gn, dc, fl.dist_curv(g), fl.charge(g)))
+        traj.append((t, used, e, gn, dc, fl.dist_curv(*pq), fl.charge(g)))
         dists.append(dc)
         stable = False
         if len(dists) > STALL_WINDOW:

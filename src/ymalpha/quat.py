@@ -52,15 +52,21 @@ def from_im(s):
 
 
 def cross(a, b):
-    """Cross product a x b over the trailing axis (3), written out: numpy's
-    products and differences without its axis moves."""
+    """Cross product a x b over the trailing axis (3)."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1,
-                     a2 * b0 - a0 * b2,
-                     a0 * b1 - a1 * b0], axis=-1)
+    return np.stack(cross_components((a[..., 0], a[..., 1], a[..., 2]),
+                                     (b[..., 0], b[..., 1], b[..., 2])),
+                    axis=-1)
+
+
+def cross_components(a, b):
+    """The three components of a x b, from the components (a0, a1, a2) of a
+    and those of b, written out: numpy's products and differences without
+    its axis moves."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 def bracket(a, b):

@@ -33,6 +33,23 @@ def oracle_cov_grad(ch, sig):
     return out
 
 
+def oracle_parts_laplace(ch, sig):
+    """L sig from the three parts on lattice slices: the scalar CSR on
+    (N, 3), the pointwise field, and per axis two brackets of the edge
+    field Q_a with sig shifted one node along a."""
+    stencil, m, edges = coulomb._laplace_parts(ch.phi2, ch.gamma, ch.lat.h)
+    out = (coulomb._scalar_part(stencil) @ sig.reshape(-1, 3)).reshape(sig.shape)
+    s0, s1, s2 = sig[..., 0], sig[..., 1], sig[..., 2]
+    out[..., 0] += m[0] * s0 + m[3] * s1 + m[4] * s2
+    out[..., 1] += m[3] * s0 + m[1] * s1 + m[5] * s2
+    out[..., 2] += m[4] * s0 + m[5] * s1 + m[2] * s2
+    for a, q in enumerate(edges):
+        lo, hi = coulomb._axis_slice(a, 0, -1), coulomb._axis_slice(a, 1, None)
+        out[lo] -= quat.bracket(q, sig[hi])
+        out[hi] += quat.bracket(q, sig[lo])
+    return out
+
+
 def oracle_gauge_action(ch, sigma, pot):
     """gauge_action_lattice with the adjoint action on all four directions
     at once."""
@@ -68,12 +85,26 @@ def test_laplace_is_divergence_of_gradient(n):
 def _parts_chart(lat):
     """A chart of lat that applies L from its three parts, whatever its size."""
     ch = coulomb.BasicChart(lat)
-    w, h = ch.phi2, lat.h
-    stencil = coulomb._stencil(w, h)
-    ch._matrix, ch._parts = None, (coulomb._scalar_part(stencil),
-                                   coulomb._pointwise_part(w, ch.gamma),
-                                   coulomb._edge_fields(w, ch.gamma, h))
+    ch._matrix, ch._parts = None, coulomb._held_parts(
+        *coulomb._laplace_parts(ch.phi2, ch.gamma, lat.h))
     return ch
+
+
+def _boundary_zero_sigma(n):
+    """Random sigma that is exactly zero on every boundary plane."""
+    sig = np.zeros((n,) * 4 + (3,))
+    sig[(slice(1, -1),) * 4] = rng.normal(size=(n - 2,) * 4 + (3,))
+    return sig
+
+
+@pytest.mark.parametrize("n, chart", [(11, coulomb._chart), (7, _parts_chart)])
+def test_parts_laplace_is_bitwise_the_slice_oracle(n, chart):
+    ch = chart(Lattice4D(3.0, n))
+    assert ch._matrix is None
+    sigmas = [scale * rng.normal(size=(n,) * 4 + (3,))
+              for scale in (1e-6, 1.0, 1e3)] + [_boundary_zero_sigma(n)]
+    for sig in sigmas:
+        assert np.array_equal(ch.laplace(sig), oracle_parts_laplace(ch, sig))
 
 
 @pytest.mark.parametrize("n", [7, 9])
@@ -94,10 +125,8 @@ def test_matrix_symmetric_int32_and_sized(n):
     A = ch._matrix
     assert A.indices.dtype == A.indptr.dtype == np.int32
     assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
-    w, h = ch.phi2, lat.h
-    size = coulomb._matrix_bytes(coulomb._stencil(w, h),
-                                 coulomb._pointwise_part(w, ch.gamma),
-                                 coulomb._edge_fields(w, ch.gamma, h))
+    size = coulomb._matrix_bytes(
+        *coulomb._laplace_parts(ch.phi2, ch.gamma, lat.h))
     assert size == A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 
 

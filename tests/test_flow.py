@@ -80,10 +80,14 @@ def test_flow_step_decreases_energy():
     fl = flow.RadialFlow(1.1)
     g = _small_seed(4, amp=0.2).g
     e0 = fl.energy(g)
-    g1, dt, e1, rejects = flow.flow_step(fl, g, 0.05, 1e-10, e0,
-                                         fl.velocity(fl.grad(g)))
+    g1, dt, e1, rejects, pq1 = flow.flow_step(fl, g, 0.05, 1e-10, e0,
+                                              fl.velocity(fl.grad(g)))
     assert e1 <= e0
     assert dt <= 0.05
+    # the accepted state's (P, Q), which run_flow passes on, are g1's
+    P, Q = fl._pq(g1)
+    assert np.array_equal(pq1[0], P) and np.array_equal(pq1[1], Q)
+    assert e1 == fl.energy(g1)
 
 
 @pytest.mark.parametrize("knots", [24, 64])
@@ -94,8 +98,8 @@ def test_charge_map_matches_topological_charge(knots):
     states = [np.ones(knots), seed.g]
     g, e = seed.g, fl.energy(seed.g)
     for _ in range(50):
-        g, _, e, _ = flow.flow_step(fl, g, 0.05, 1e-10, e,
-                                    fl.velocity(fl.grad(g)))
+        g, _, e, _, _ = flow.flow_step(fl, g, 0.05, 1e-10, e,
+                                       fl.velocity(fl.grad(g)))
         states.append(g)
     for g in states:
         q = energy.topological_charge(fl.profile(g), n=48)
