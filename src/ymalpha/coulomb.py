@@ -37,8 +37,8 @@ from scipy.optimize import minimize
 from scipy.sparse import csr_array
 
 from . import quat, fields
-from .quat import (bracket, conjugate_im, cross_components, exp_im,
-                   im_part, qconj, qmul)
+from .quat import (bracket, components, conj_components, conjugate_im,
+                   cross_components, exp_im, qmul_im_components)
 from .sphere import ConformalMap, central_diff, pairwise_sum, round_weight
 
 
@@ -341,11 +341,17 @@ def gauge_action_lattice(chart, sigma, pot):
     so the projector's fixed point is exact in the discrete pairing."""
     s = exp_im(sigma)
     s1 = s - quat.ONE
-    sc = qconj(s)
+    sc = conj_components(components(s))
     out = np.empty(pot.shape)
-    for a in range(4):      # per direction: no (..., 4, 4) quaternion temporaries
+    # one direction at a time: the products' temporaries are (n,n,n,n)
+    # component arrays and one difference of s is held, where all four
+    # directions at once would hold (n,n,n,n,4) ones and four differences
+    for a in range(4):
         ds = central_diff(s1, a, chart.lat.h)
-        out[..., a, :] = conjugate_im(s, pot[..., a, :]) + im_part(qmul(sc, ds))
+        pure = qmul_im_components(sc, components(ds))       # Im(conj(s) ds)
+        out[..., a, :] = conjugate_im(s, pot[..., a, :])
+        for k in range(3):
+            out[..., a, k] += pure[k]
     return out
 
 
@@ -441,7 +447,10 @@ def curvature_distance(c, result):
     lat = result.lattice
     F = c.curvature(lat.points).reshape(lat.shape + (4, 4, 3))
     s = result.transform_values()
-    for a in range(4):      # per direction: no (..., 4, 4, 4) quaternion temporaries
+    # one direction at a time: the adjoint action's temporaries are
+    # (n,n,n,n,4) component arrays, where all four at once would make them
+    # (n,n,n,n,4,4)
+    for a in range(4):
         F[..., a, :, :] = conjugate_im(s[..., None, :], F[..., a, :, :])
     dF = F - _chart(lat).basic_curvature
     # |F|^2_g dV_g = |F|^2_coord dzeta (the conformal weights cancel)

@@ -10,7 +10,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import quat, sphere
-from .quat import qmul, qconj, qnorm2, im_part, exp_im, conjugate_im
+from .quat import (components, conj_components, conjugate_im, exp_im,
+                   from_components, im_part, qconj, qmul, qmul_im_components,
+                   qnorm2)
 from .sphere import RadialGrid, partials
 
 
@@ -194,8 +196,8 @@ class GaugeTransformed(ConnectionModel):
         zeta = np.asarray(zeta, float)
         s = self.transform.value(zeta)
         ds = self.transform.dvalue(zeta)
-        sinv = qconj(s)  # unit
-        pure = im_part(qmul(sinv[..., None, :], ds))
+        pure = from_components(qmul_im_components(    # Im(s^-1 ds), s unit
+            conj_components(components(s[..., None, :])), components(ds)))
         g = self.base.potential(zeta)
         return pure + conjugate_im(s[..., None, :], g)
 
@@ -219,13 +221,28 @@ class Pulledback(ConnectionModel):
     def potential(self, zeta):
         zeta = np.asarray(zeta, float)
         g = self.base.potential(self.cmap.apply(zeta))
-        return np.einsum("ij,...jc->...ic", self.cmap.matrix, g)
+        return _contract(self.cmap.matrix, g)
 
     def curvature(self, zeta):
         zeta = np.asarray(zeta, float)
         J = self.cmap.matrix
         F = self.base.curvature(self.cmap.apply(zeta))
-        return np.einsum("ik,jl,...klc->...ijc", J, J, F)
+        K = np.einsum("ik,jl->ijkl", J, J).reshape(16, 16)
+        return _contract(K, F.reshape(F.shape[:-3] + (16, 3))).reshape(F.shape)
+
+
+def _contract(T, X):
+    """sum_b T[a, b] X[..., b, :] for each row a of the constant matrix T:
+    np.einsum's products, added in ascending b into +0 as it adds them, with
+    T's exact zeros skipped.  On finite X a skipped term adds +-0 to an
+    accumulator that is never -0 (it starts at +0, and a sum is -0 only when
+    both addends are), which changes no bit.  A pullback by a dilation keeps
+    4 of 16 terms of its potential and 16 of 256 of its curvature."""
+    out = np.zeros(X.shape[:-2] + (T.shape[0], X.shape[-1]))
+    for b in range(T.shape[1]):
+        for a in np.flatnonzero(T[:, b]):
+            out[..., a, :] += T[a, b] * X[..., b, :]
+    return out
 
 
 class LatticeField(ConnectionModel):

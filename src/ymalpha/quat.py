@@ -3,6 +3,9 @@
 Quaternions are arrays of shape (..., 4) ordered (w, x, y, z); imaginary
 quaternions (the Lie algebra values carried by all gauge quantities) are
 arrays of shape (..., 3).  Everything is vectorized over leading axes.
+The products are written once, on tuples of component arrays
+(cross_components, qmul_components); the array forms split their operands
+into components and join the results.
 """
 
 import numpy as np
@@ -20,17 +23,11 @@ def qmul(a, b):
     """Hamilton product, vectorized over leading axes."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    aw, av = a[..., 0], a[..., 1:]
-    bw, bv = b[..., 0], b[..., 1:]
-    w = aw * bw - np.sum(av * bv, axis=-1)
-    v = (aw[..., None] * bv + bw[..., None] * av + cross(av, bv))
-    return np.concatenate([w[..., None], v], axis=-1)
+    return from_components(qmul_components(components(a), components(b)))
 
 
 def qconj(q):
-    out = np.array(q, float, copy=True)
-    out[..., 1:] *= -1.0
-    return out
+    return from_components(conj_components(components(np.asarray(q, float))))
 
 
 def qnorm2(q):
@@ -43,21 +40,11 @@ def im_part(q):
     return np.asarray(q, float)[..., 1:].copy()
 
 
-def from_im(s):
-    """Embed an ImQuaternion (...,3) as a pure quaternion (...,4)."""
-    s = np.asarray(s, float)
-    out = np.zeros(s.shape[:-1] + (4,))
-    out[..., 1:] = s
-    return out
-
-
 def cross(a, b):
     """Cross product a x b over the trailing axis (3)."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    return np.stack(cross_components((a[..., 0], a[..., 1], a[..., 2]),
-                                     (b[..., 0], b[..., 1], b[..., 2])),
-                    axis=-1)
+    return from_components(cross_components(components(a), components(b)))
 
 
 def cross_components(a, b):
@@ -67,6 +54,45 @@ def cross_components(a, b):
     a0, a1, a2 = a
     b0, b1, b2 = b
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def qmul_components(a, b):
+    """The four components of the Hamilton product ab, from the components
+    (a0, a1, a2, a3) of a and those of b.  The scalar part sums the three
+    imaginary products as np.sum does over a length-3 axis: from +0, in
+    turn, so an all -0 sum is +0 there too."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - (((0.0 + a1 * b1) + a2 * b2) + a3 * b3),) \
+        + qmul_im_components(a, b)
+
+
+def qmul_im_components(a, b):
+    """The three imaginary components of qmul_components(a, b), computed
+    without its scalar part: a0 b + b0 a + a x b."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    c1, c2, c3 = cross_components((a1, a2, a3), (b1, b2, b3))
+    return (a0 * b1 + b0 * a1) + c1, (a0 * b2 + b0 * a2) + c2, \
+        (a0 * b3 + b0 * a3) + c3
+
+
+def components(x):
+    """The components of x along its trailing axis, as views."""
+    return tuple(x[..., k] for k in range(x.shape[-1]))
+
+
+def conj_components(q):
+    """The components of conj(q) from those of q."""
+    return (q[0],) + tuple(-c for c in q[1:])
+
+
+def from_components(parts):
+    """One (..., len(parts)) array holding the component arrays in turn."""
+    out = np.empty(np.broadcast(*parts).shape + (len(parts),))
+    for k, p in enumerate(parts):
+        out[..., k] = p
+    return out
 
 
 def bracket(a, b):
@@ -86,5 +112,9 @@ def exp_im(s):
 
 
 def conjugate_im(q, s):
-    """q^{-1} s q for unit quaternion q and imaginary s; stays imaginary."""
-    return im_part(qmul(qmul(qconj(q), from_im(s)), q))
+    """q^{-1} s q for unit quaternion q and imaginary s; stays imaginary.
+    As conj(q) (0, s) q, the pure quaternion's scalar a literal +0."""
+    q = components(np.asarray(q, float))
+    t = qmul_components(conj_components(q),
+                        (0.0,) + components(np.asarray(s, float)))
+    return from_components(qmul_im_components(t, q))

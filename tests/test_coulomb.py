@@ -341,6 +341,18 @@ def test_write_log_schema(tmp_path):
     assert len(lines) == len(res.residuals) + 1
 
 
+def test_z_probe_at_check_twelve_is_pinned(reference_versions):
+    """One off-inverse probe of check 12's planted map on its 7^4 lattice:
+    the quick tier's guard on the slow check's path (pullback of a
+    pullback, projection, both distances), to the bit."""
+    c = fields.pullback(sphere.ConformalMap(xi2=np.array([0.15, 0.0, -0.1, 0.0]),
+                                            lam=1.1), fields.basic_connection())
+    _, z, zf, zu, _ = coulomb._z_value(c, 0.95, np.array([-0.1, 0.0, 0.1, 0.0]),
+                                       Lattice4D(3.0, 7), 1e-6)
+    assert (z, zf, zu) == (0.5797389485314463, 0.5278703348080757,
+                           0.051868613723370594)
+
+
 def test_lifted_pullback_of_basic_is_basic():
     p = rng.normal(size=4); p /= np.linalg.norm(p)
     q = rng.normal(size=4); q /= np.linalg.norm(q)

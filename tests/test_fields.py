@@ -73,6 +73,52 @@ def test_pullback_dilation_curvature_norm():
     assert np.allclose(f2g, 3.0 / sphere.chi_lambda(pts, lam), rtol=1e-8)
 
 
+def _einsum_pullback(c, zeta, curvature):
+    """Pulledback's potential or curvature as the two np.einsum calls, down
+    through nested pullbacks."""
+    if not isinstance(c, fields.Pulledback):
+        return c.curvature(zeta) if curvature else c.potential(zeta)
+    J = c.cmap.matrix
+    base = _einsum_pullback(c.base, c.cmap.apply(zeta), curvature)
+    if curvature:
+        return np.einsum("ik,jl,...klc->...ijc", J, J, base)
+    return np.einsum("ij,...jc->...ic", J, base)
+
+
+# Jacobians: diagonal, dense, and two nonzeros in each column
+_MAPS = {
+    "dilation+translation": sphere.ConformalMap(
+        xi2=np.array([0.15, 0.0, -0.1, 0.0]), lam=1.1),
+    "rotation": sphere.rotation(np.array([0.5, -0.5, 0.5, 0.5]),
+                                np.array([0.6, 0.0, 0.8, 0.0])),
+    "rotated dilation": sphere.ConformalMap(
+        xi2=np.array([0.0, 0.2, 0.0, -0.1]), lam=0.8,
+        p=np.array([0.6, 0.8, 0.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("kind", _MAPS)
+@pytest.mark.parametrize("base", ["basic", "gauge-transformed"])
+def test_pullback_is_bitwise_the_einsum(kind, base):
+    # a probe's map pulls back a pulled-back connection, as a Z-probe does
+    c = fields.basic_connection()
+    if base != "basic":
+        c = fields.gauge_act(fields.AnalyticGauge(fields.random_bump_sigma(
+            np.random.default_rng(3))), c)
+    pulled = fields.pullback(sphere.ConformalMap(
+        xi2=np.array([-0.1, 0.0, 0.1, 0.0]), lam=0.95),
+        fields.pullback(_MAPS[kind], c))
+    zeta = np.random.default_rng(4).normal(size=(2, 40, 4))
+    zeta[0, :10] = 0.0
+    zeta[1, :10, ::2] = -0.0
+    for c in (pulled, pulled.base):
+        for curvature in (False, True):
+            got = c.curvature(zeta) if curvature else c.potential(zeta)
+            want = _einsum_pullback(c, zeta, curvature)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 _unit = st.floats(-1.0, 1.0)
 
 

@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from ymalpha import quat
@@ -42,6 +42,47 @@ def test_qmul_matches_cross_reference(pair):
     got, want = quat.qmul(a, b), _qmul_ref(a, b)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+def _conjugate_im_ref(q, s):
+    """q^{-1} s q as conj(q) (0, s) q: two full products, then the
+    imaginary part."""
+    qc = np.concatenate([q[..., :1], -q[..., 1:]], axis=-1)
+    pure = np.concatenate([np.zeros(s.shape[:-1] + (1,)), s], axis=-1)
+    return _qmul_ref(_qmul_ref(qc, pure), q)[..., 1:]
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+# zeros of both signs often, so that signed-zero sums are reached
+signed = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | finite
+
+
+@st.composite
+def component_pairs(draw, signature):
+    shapes = draw(mutually_broadcastable_shapes(
+        signature=signature, max_dims=3, max_side=3))
+    sa, sb = shapes.input_shapes
+    return (draw(arrays(float, sa, elements=signed)),
+            draw(arrays(float, sb, elements=signed)))
+
+
+@given(component_pairs("(4),(4)->(4)"))
+# the scalar part's three products all -0 and a0 b0 = -0: np.sum's +0
+# start makes the scalar -0 - (+0) = -0
+@example((np.array([-0.0, 0.0, 0.0, 0.0]), np.array([0.0, -0.0, -0.0, -0.0])))
+def test_qmul_components_is_the_sum_formula(pair):
+    a, b = pair
+    assert _same_bits(quat.qmul(a, b), _qmul_ref(a, b))
+
+
+@given(component_pairs("(4),(3)->(3)"))
+def test_conjugate_im_is_two_full_products(pair):
+    q, s = pair
+    assert _same_bits(quat.conjugate_im(q, s), _conjugate_im_ref(q, s))
 
 
 @given(quats, quats, quats)
@@ -126,4 +167,3 @@ def test_broadcast_shapes():
     b = rng.normal(size=(7, 4))
     assert quat.qmul(a, b).shape == (5, 7, 4)
     assert quat.im_part(a).shape == (5, 7, 3)
-    assert quat.from_im(quat.im_part(a)).shape == (5, 7, 4)
