@@ -42,11 +42,12 @@ def ansatz_frame_tensor(zeta):
     return zv - np.swapaxes(zv, -3, -2)
 
 
-def f_sfp_from_g(g, dg, s, r):
+def f_sfp_from_g(g, dg, s, r, s1, s1sq):
     """(f, s*f') of the radial ansatz f = g/(1+s) from g and dg/dtheta at
-    s = r^2; s * dtheta/ds = r/(1+r^2) has no 1/r at the origin."""
-    sfp = dg * r / (1.0 + s) ** 2 - s * g / (1.0 + s) ** 2
-    return g / (1.0 + s), sfp
+    s = r^2, given s1 = 1 + s and s1sq = s1**2; s * dtheta/ds = r/(1+r^2)
+    has no 1/r at the origin."""
+    sfp = dg * r / s1sq - s * g / s1sq
+    return g / s1, sfp
 
 
 class ConnectionModel:
@@ -140,7 +141,9 @@ class RadialProfile(ConnectionModel):
     def f_sfp(self, s):
         """(f, s*f'), avoiding the removable 1/r in dtheta/ds at the origin."""
         g, dg = self._g_dg(s)
-        return f_sfp_from_g(g, dg, s, np.sqrt(np.maximum(s, 0.0)))
+        s1 = 1.0 + s
+        return f_sfp_from_g(g, dg, s, np.sqrt(np.maximum(s, 0.0)), s1,
+                            s1 ** 2)
 
     def potential(self, zeta):
         zeta = np.asarray(zeta, float)

@@ -69,8 +69,8 @@ class RadialFlow:
     grid."""
 
     def __init__(self, alpha, grid=None, lam=1.0):
-        if alpha < 1 or lam <= 0:
-            raise ValueError("need alpha >= 1 and lambda > 0")
+        if not (1 <= alpha < np.inf and 0 < lam < np.inf):
+            raise ValueError("need finite alpha >= 1 and lambda > 0")
         self.alpha = float(alpha)
         self.grid = grid or RadialGrid(64)
         g = self.grid
@@ -80,6 +80,18 @@ class RadialFlow:
         self.W = (1.0 + self.s) ** 4 / 16.0        # 2-form weight at knots
         self.chi = chi_lambda(g.axis_points(), lam)
         self.mass = g.vol_w * 0.75 * self.s        # |dA|^2_g = (3s/4) dg^2
+        # per-knot constants of energy, grad and velocity; each is a leading
+        # factor or a whole operand there, so every product keeps its bits
+        self._s1 = 1.0 + self.s
+        s1sq = self._s1 ** 2
+        self._knots = (self.s, self.r, self._s1, s1sq)
+        self._rho_w = 24.0 * self.W
+        self._grad_w = 12.0 * self.alpha * self.vol_w * self.W
+        self._a = self.r / s1sq                     # d(s f')/d(dg/dtheta)
+        self._b0 = -self.s / s1sq
+        self._2s = 2.0 * self.s
+        self._pinned = ~self.active
+        self._mass_active = self.mass[self.active]
         # spline differentiation matrix on [theta, pi] with pinned endpoint
         knots = np.concatenate([g.theta, [np.pi]])
         spl = CubicSpline(knots, np.eye(g.n + 1))
@@ -87,13 +99,14 @@ class RadialFlow:
         Dfull = dspl(g.theta)                       # (n, n+1)
         self.D = Dfull[:, :-1]
         self.d0 = Dfull[:, -1]                      # pinned g(pi) = 1
-        self._pq0 = self._pq(np.ones(g.n))          # the basic connection
+        self._pq0 = self._pq(np.ones(g.n))[:2]      # the basic connection
         # charge map: energy.topological_charge(self.profile(g), n=48), the
         # flat quadrature on RadialGrid(96) of the density of
         # F = t1 (zeta^i v_j - zeta^j v_i) + t2 M_ij, as a quadratic form in
         # (P, Q) = (s t1 / 2, t2 / 2) of the same spline at its nodes
         cg = RadialGrid(CHARGE_NODES)
-        self._cs, self._cr = cg.s, cg.r
+        cs1 = 1.0 + cg.s
+        self._charge_nodes = (cg.s, cg.r, cs1, cs1 ** 2)
         cv, cd = spl(cg.theta), dspl(cg.theta)      # (96, n+1) each
         self._cv, self._cv0 = cv[:, :-1], cv[:, -1]
         self._cd, self._cd0 = cd[:, :-1], cd[:, -1]
@@ -107,49 +120,48 @@ class RadialFlow:
         self._wqq = w * qc
 
     def _pq(self, g):
-        """P = s(f' + f^2), Q = f(1 - s f) at the knots; rho = 24 W ((P+Q)^2 + Q^2)."""
-        return _pq(g, self.D @ g + self.d0, self.s, self.r)
+        """(P, Q, P + Q, f) of g at the knots: P = s(f' + f^2),
+        Q = f(1 - s f), f = g/(1+s); rho = 24 W ((P+Q)^2 + Q^2)."""
+        P, Q, f = _pq(g, self.D @ g + self.d0, *self._knots)
+        return P, Q, P + Q, f
 
-    def rho(self, P, Q):
-        """|F|^2_g of the ansatz at the knots from its (P, Q)."""
-        return 24.0 * self.W * ((P + Q) ** 2 + Q * Q)
+    def rho(self, u, Q):
+        """|F|^2_g of the ansatz at the knots from u = P + Q and Q."""
+        return self._rho_w * (u ** 2 + Q * Q)
 
     def energy(self, g, pq=None):
         """The discretized energy of g; pq is g's _pq, if already computed."""
-        P, Q = self._pq(g) if pq is None else pq
-        dens = (3.0 + self.chi * self.rho(P, Q)) ** self.alpha / self.chi
+        _, Q, u, _ = self._pq(g) if pq is None else pq
+        dens = (3.0 + self.chi * self.rho(u, Q)) ** self.alpha / self.chi
         return 0.5 * pairwise_sum(self.vol_w * dens)
 
     def grad(self, g, pq=None):
         """Exact dE/dg of the discretized energy; pq as in energy."""
-        s = self.s
-        f = g / (1.0 + s)
-        P, Q = self._pq(g) if pq is None else pq
-        rho = self.rho(P, Q)
-        c = 12.0 * self.alpha * self.vol_w * self.W \
-            * (3.0 + self.chi * rho) ** (self.alpha - 1.0)
-        cp, cq = 2.0 * c * (P + Q), 2.0 * c * (P + 2.0 * Q)
-        a = self.r / (1.0 + s) ** 2
-        b = -s / (1.0 + s) ** 2 + 2.0 * s * f / (1.0 + s)
-        q = (1.0 - 2.0 * s * f) / (1.0 + s)
-        return self.D.T @ (cp * a) + cp * b + cq * q
+        P, Q, u, f = self._pq(g) if pq is None else pq
+        c2 = 2.0 * (self._grad_w * (3.0 + self.chi * self.rho(u, Q))
+                    ** (self.alpha - 1.0))
+        cp, cq = c2 * u, c2 * (P + 2.0 * Q)
+        tsf = self._2s * f
+        b = self._b0 + tsf / self._s1
+        q = (1.0 - tsf) / self._s1
+        return self.D.T @ (cp * self._a) + cp * b + cq * q
 
     def grad_norm(self, dg):
         """L^2(dV_g) norm of the flow velocity (mass-weighted dual norm) of
         the gradient dg = grad(g)."""
         dg = dg[self.active]
-        return np.sqrt(pairwise_sum(dg * dg / self.mass[self.active]))
+        return np.sqrt(pairwise_sum(dg * dg / self._mass_active))
 
     def velocity(self, dg):
         """Flow velocity of the gradient dg = grad(g); zero off the window."""
         v = -dg / self.mass
-        v[~self.active] = 0.0
+        v[self._pinned] = 0.0
         return v
 
     def charge(self, g):
         """Topological charge of profile(g) by the 96-node charge map."""
-        P, Q = _pq(self._cv @ g + self._cv0, self._cd @ g + self._cd0,
-                   self._cs, self._cr)
+        P, Q, _ = _pq(self._cv @ g + self._cv0, self._cd @ g + self._cd0,
+                      *self._charge_nodes)
         return pairwise_sum(self._wpp * P * P + self._wpq * P * Q
                             + self._wqq * Q * Q)
 
@@ -157,20 +169,24 @@ class RadialFlow:
         """L^2 distance of the potential to the basic connection."""
         return np.sqrt(pairwise_sum(self.mass * (g - 1.0) ** 2))
 
-    def dist_curv(self, P1, Q1):
+    def dist_curv(self, pq):
         """L^2 distance to the basic curvature of the curvature whose _pq is
-        (P1, Q1)."""
+        pq."""
         P0, Q0 = self._pq0
-        return np.sqrt(pairwise_sum(self.vol_w * self.rho(P1 - P0, Q1 - Q0)))
+        dQ = pq[1] - Q0
+        return np.sqrt(pairwise_sum(self.vol_w
+                                    * self.rho((pq[0] - P0) + dQ, dQ)))
 
     def profile(self, g):
         return fields.RadialProfile(self.grid.theta, g)
 
 
-def _pq(g, dg, s, r):
-    """P = s(f' + f^2), Q = f(1 - s f) from g and dg/dtheta at nodes s = r^2."""
-    f, sfp = fields.f_sfp_from_g(g, dg, s, r)
-    return sfp + s * f * f, f * (1.0 - s * f)
+def _pq(g, dg, s, r, s1, s1sq):
+    """(P, Q, f): P = s(f' + f^2), Q = f(1 - s f), f = g/(1+s), from g and
+    dg/dtheta at nodes s = r^2 with s1 = 1 + s and s1sq = s1^2."""
+    f, sfp = fields.f_sfp_from_g(g, dg, s, r, s1, s1sq)
+    sf = s * f
+    return sfp + sf * f, f * (1.0 - sf), f
 
 
 def flow_step(fl, g, dt, dt_min, e0, k1):
@@ -200,18 +216,19 @@ def run_flow(profile, config):
     """Flow a RadialProfile toward the basic connection under the FlowConfig
     config; records a trajectory row (t, dt, energy, grad_norm, dist_conn,
     dist_curv, charge) per step."""
+    if config.max_steps < 1:
+        raise ValueError("need max_steps >= 1")
     grid = RadialGrid(profile.theta.shape[0])
     if not np.allclose(grid.theta, profile.theta):
         raise ValueError("profile must live on a RadialGrid theta grid")
     fl = RadialFlow(config.alpha, grid, lam=config.lam)
     g = profile.g.copy()         # knots outside the active window stay fixed
     t, dt = 0.0, DT
-    pq = fl._pq(g)       # one (P, Q) and one gradient per accepted state
+    pq = fl._pq(g)       # one _pq and one gradient per accepted state
     e = fl.energy(g, pq)
     dg = fl.grad(g, pq)
     traj, dists = [], []
     reason, converged = "max_steps reached", False
-    steps = 0
     dt_bad = np.inf      # smallest dt ever rejected; stay clear of it
     for steps in range(1, config.max_steps + 1):
         g, used, e, rejects, pq = flow_step(fl, g, dt, DT_MIN, e,
@@ -223,7 +240,7 @@ def run_flow(profile, config):
         dg = fl.grad(g, pq)
         gn = fl.grad_norm(dg)
         dc = fl.dist_conn(g)
-        traj.append((t, used, e, gn, dc, fl.dist_curv(*pq), fl.charge(g)))
+        traj.append((t, used, e, gn, dc, fl.dist_curv(pq), fl.charge(g)))
         dists.append(dc)
         stable = False
         if len(dists) > STALL_WINDOW:
@@ -233,7 +250,7 @@ def run_flow(profile, config):
             reason, converged = "gradient below tolerance, distance stationary", True
             break
     return FlowResult(converged, reason, steps, fl.profile(g), float(e),
-                      float(fl.grad_norm(dg)), traj)
+                      float(gn), traj)
 
 
 def random_flow_seed(rng, grid=None, amp=0.25, s_range=S_RANGE):
