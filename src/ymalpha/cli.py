@@ -31,8 +31,8 @@ ADHM_SCALE = (1.0e-2, 1.0e2)
 ADHM_XI = 1.0e2
 ADHM_RULE = "|XI| <= %g and SCALE in [%g, %g]" % (ADHM_XI, *ADHM_SCALE)
 # size caps (2 cores, numpy 2.4): leggauss(2n) at n = 1024, the doubling
-# grid, takes about 1 s and 94 MB; building the 31^4 gauge chart 1.3 s and
-# 550 MB
+# grid, takes about 1 s and 94 MB, paid once per size per process (sphere
+# holds each rule); building the 31^4 gauge chart 1.3 s and 550 MB
 QUAD_MAX = 1024
 LATTICE_MAX = 31
 GRID_MAX = 10000

@@ -7,6 +7,7 @@ e_a = ((1+r^2)/2) d/dzeta^a.  Orientation is fixed so that the instanton
 family below is anti-self-dual.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,9 +120,22 @@ def f_norm2_coord(F):
 # Quadrature grids
 # ---------------------------------------------------------------------------
 
-def gauss_legendre(n, a, b):
-    """n-point Gauss-Legendre nodes and weights on [a, b]."""
+@functools.lru_cache(maxsize=None, typed=True)
+def legendre_nodes(n):
+    """numpy's n-point Gauss-Legendre nodes and weights on [-1, 1], computed
+    the first time n is requested in a process (an O(n^3) eigenvalue solve)
+    and shared by every later request, so the arrays are read-only.  The key
+    is typed, so 96.0 raises numpy's TypeError even when an equal integer n
+    is held."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(n, a, b):
+    """n-point Gauss-Legendre nodes and weights on [a, b], as fresh arrays."""
+    x, w = legendre_nodes(n)
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -249,6 +250,23 @@ def test_gaugefix_log_is_thread_independent():
         assert proc.returncode == 0, proc.stderr
         runs.append((proc.stdout, proc.stderr))
     assert runs[0] == runs[1]
+
+
+# SHA-256 of the CSV that `ymalpha profile --alpha 1.3 --lambda-grid 1:10:20`
+# writes, made before the Gauss-Legendre nodes were held per size; profile
+# requests the same node sizes again at every lambda
+PROFILE_SHA256 = \
+    "0118635d6757ce1ea6883f7b70f57175e895616a4249074333c317eb90ec28a0"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_profile_csv_is_pinned(reference_versions, tmp_path, threads):
+    out = tmp_path / "p.csv"
+    proc = _run_cli("profile", "--alpha", "1.3", "--lambda-grid", "1:10:20",
+                    "--output", str(out), OMP_NUM_THREADS=threads,
+                    OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PROFILE_SHA256
 
 
 def test_gaugefix_overflowing_perturbation_warns_nothing():

@@ -152,14 +152,62 @@ _NODE_COUNTS.update({
 def test_node_counts_per_caller(name, monkeypatch):
     fn, want = _NODE_COUNTS[name]
     sizes = []
-    leggauss = np.polynomial.legendre.leggauss
+    legendre_nodes = sphere.legendre_nodes
 
     def counted(n):
         sizes.append(n)
-        return leggauss(n)
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        return legendre_nodes(n)
+    monkeypatch.setattr(sphere, "legendre_nodes", counted)
     fn(8)
     assert sizes == want
+
+
+@pytest.mark.parametrize("n", [1, 7, 96, 192, 384])
+def test_legendre_nodes_are_numpys(n):
+    for got, ref in zip(sphere.legendre_nodes(n),
+                        np.polynomial.legendre.leggauss(n)):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_legendre_nodes_computed_once_per_size(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    sphere.legendre_nodes.cache_clear()
+    first = sphere.legendre_nodes(12)
+    again = sphere.legendre_nodes(12)
+    assert calls == [12]
+    assert all(a is b for a, b in zip(first, again))
+
+
+def test_legendre_nodes_read_only_and_grids_fresh():
+    held = sphere.legendre_nodes(24)
+    for arr in held:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for arr in sphere.gauss_legendre(24, 0.0, np.pi):
+        assert not any(np.shares_memory(arr, h) for h in held)
+        arr[0] = 0.0     # the caller's copy, not the held rule
+    assert np.array_equal(held[0], np.polynomial.legendre.leggauss(24)[0])
+
+
+def test_legendre_nodes_errors_not_cached():
+    # an untyped key would let 96.0 equal a held np.int64(96)
+    sphere.legendre_nodes(96)
+    sphere.legendre_nodes(np.int64(96))
+    with pytest.raises(TypeError):
+        sphere.legendre_nodes(96.0)
+    with pytest.raises(TypeError):
+        sphere.gauss_legendre(96.0, 0.0, 1.0)
+    for n in (0, -1):
+        for _ in range(2):     # a second request raises again
+            with pytest.raises(ValueError):
+                sphere.legendre_nodes(n)
 
 
 def test_lattice_layout():
