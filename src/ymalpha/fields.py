@@ -6,6 +6,8 @@ All potentials are chart-coordinate 1-forms with values in Im H, evaluated in
 batches: potential(zeta) -> (N, 4, 3), curvature(zeta) -> (N, 4, 4, 3).
 """
 
+import functools
+
 import numpy as np
 from scipy.interpolate import CubicSpline
 
@@ -221,17 +223,25 @@ class Pulledback(ConnectionModel):
     def is_radial(self):
         return bool(self.base.is_radial and np.all(self.cmap.xi2 == 0.0))
 
+    @functools.cached_property
+    def J(self):
+        """The map's constant Jacobian, built on first use."""
+        return self.cmap.matrix
+
+    @functools.cached_property
+    def K(self):
+        """J (x) J as a 16 x 16 matrix acting on flattened 2-form indices."""
+        return np.einsum("ik,jl->ijkl", self.J, self.J).reshape(16, 16)
+
     def potential(self, zeta):
         zeta = np.asarray(zeta, float)
         g = self.base.potential(self.cmap.apply(zeta))
-        return _contract(self.cmap.matrix, g)
+        return _contract(self.J, g)
 
     def curvature(self, zeta):
         zeta = np.asarray(zeta, float)
-        J = self.cmap.matrix
         F = self.base.curvature(self.cmap.apply(zeta))
-        K = np.einsum("ik,jl->ijkl", J, J).reshape(16, 16)
-        return _contract(K, F.reshape(F.shape[:-3] + (16, 3))).reshape(F.shape)
+        return _contract(self.K, F.reshape(F.shape[:-3] + (16, 3))).reshape(F.shape)
 
 
 def _contract(T, X):

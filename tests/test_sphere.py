@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ymalpha import energy, fields, profile, sphere
+from ymalpha import energy, fields, profile, sphere, variational
 from ymalpha.sphere import RadialGrid, Lattice4D
 
 rng = np.random.default_rng(7)
@@ -227,3 +227,134 @@ def test_pairwise_sum_deterministic():
     v = rng.normal(size=12345)
     assert sphere.pairwise_sum(v) == sphere.pairwise_sum(v.copy())
     assert np.isclose(sphere.pairwise_sum(v), np.sum(v), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# centred-difference stencils: one call of fn on all 8 shifts
+# ---------------------------------------------------------------------------
+
+def _partials_ref(fn, zeta, h):
+    """The per-axis loop: fn called once per shifted point set."""
+    zeta = np.asarray(zeta, float)
+    cols = []
+    for a in range(4):
+        e = np.zeros(4)
+        e[a] = h
+        cols.append((fn(zeta + e) - fn(zeta - e)) / (2.0 * h))
+    return np.stack(cols, axis=zeta.ndim - 1)
+
+
+def _with_ref_partials(monkeypatch, thunk):
+    """thunk() with the loop bound wherever partials is bound by name."""
+    with monkeypatch.context() as m:
+        for module in (sphere, variational, fields):
+            m.setattr(module, "partials", _partials_ref)
+        return thunk()
+
+
+def _stencil_points(shape):
+    pts = np.random.default_rng(23).normal(scale=0.7, size=shape)
+    flat = pts.reshape(-1, 4)
+    flat[0, 0] = -0.0
+    flat[-1, 2] = -0.0
+    flat[0, 3] = 0.0
+    return pts
+
+
+_BASIS = variational.ModuliBasis(Lattice4D(3.0, 5))
+_GAUGED = fields.GaugeTransformed(
+    _PROF, fields.AnalyticGauge(fields.random_bump_sigma(np.random.default_rng(3))))
+_DILATED = fields.pullback(sphere.dilation(0.7), _PROF)
+
+
+def _f2(q):
+    Fq = variational.frame_curvature(_OFF, q)
+    return np.sum(Fq * Fq, axis=(-3, -2, -1))
+
+
+_STENCIL_CASES = {
+    "dstar_F basic": lambda z: variational.dstar_F(fields.basic_connection(), z),
+    "dstar_F off-centre": lambda z: variational.dstar_F(_OFF, z),
+    "dstar_F dilation pullback": lambda z: variational.dstar_F(_DILATED, z),
+    "gradient_ym_alpha_lambda": lambda z: variational.gradient_ym_alpha_lambda(
+        _PROF, 1.4, 1.5, z),
+    "polarization_residuals": lambda z: np.array(
+        variational.polarization_residuals(_GAUGED, _OFF, z)),
+    "cov_oneform": lambda z: variational.cov_oneform(
+        _BASIS.member(2), _DILATED, z),
+    "gauge potential": lambda z: _GAUGED.potential(z),
+    "scalar fn": lambda z: sphere.partials(_f2, z, 1e-3),
+    # sees the sign of each shifted coordinate, the +0 added to unshifted
+    # ones included: -0.0 + 0.0 is +0.0, -0.0 - 0.0 is -0.0
+    "copysign fn": lambda z: sphere.partials(
+        lambda q: np.copysign(1.0, q), z, 1e-3),
+}
+_STENCIL_CASES.update({
+    "jacobi_apply member %d" % k: (lambda z, k=k: variational.jacobi_apply(
+        fields.basic_connection(), _BASIS.member(k), z)) for k in range(5)})
+
+
+@pytest.mark.parametrize("shape", [(4,), (24, 4), (2, 3, 4)])
+@pytest.mark.parametrize("name", sorted(_STENCIL_CASES))
+def test_batched_partials_is_bitwise_the_loop(name, shape, monkeypatch):
+    case = _STENCIL_CASES[name]
+    pts = _stencil_points(shape)
+    ref = _with_ref_partials(monkeypatch, lambda: case(pts))
+    got = case(pts)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _count_calls(fn):
+    calls = []
+
+    def counted(q):
+        calls.append(np.shape(q))
+        return fn(q)
+    return counted, calls
+
+
+class _CountedCurvature(fields.Adhm):
+    def __init__(self):
+        super().__init__(np.array([0.3, 0.1, 0.0, 0.0]), 1.2)
+        self.calls = 0
+
+    def curvature(self, zeta):
+        self.calls += 1
+        return super().curvature(zeta)
+
+
+def test_partials_calls_fn_once():
+    pts = _stencil_points((2, 3, 4))
+    fn, calls = _count_calls(_OFF.potential)
+    assert sphere.partials(fn, pts, 1e-3).shape == (2, 3, 4, 4, 3)
+    assert calls == [(8, 2, 3, 4)]
+    fn, calls = _count_calls(sphere.frame_scale)
+    assert sphere.partials(fn, pts[0, 0], 1e-3).shape == (4,)
+    assert calls == [(8, 4)]
+
+
+@pytest.mark.parametrize("ref, want", [(False, (5, 2)), (True, (82, 9))])
+def test_stencil_call_counts(ref, want, monkeypatch):
+    """jacobi_apply's field and dstar_F's curvature calls; the loop's counts
+    show what the batching saves."""
+    def run():
+        pts = _stencil_points((24, 4))
+        xi, calls = _count_calls(_BASIS.member(1))
+        variational.jacobi_apply(fields.basic_connection(), xi, pts)
+        model = _CountedCurvature()
+        variational.dstar_F(model, pts)
+        return len(calls), model.calls
+    assert (_with_ref_partials(monkeypatch, run) if ref else run()) == want
+
+
+@pytest.mark.parametrize("shape, fn", [
+    ((4,), lambda q: np.full(9, np.sum(q))),           # 9 outputs, no point axis
+    ((4,), lambda q: np.sum(q)),                       # a scalar for all 8
+    ((24, 4), lambda q: q.reshape(-1, 4)[:, 0]),       # point axes flattened
+    ((2, 3, 4), lambda q: q[0]),                       # shift axis dropped
+])
+def test_partials_rejects_unvectorized_fn(shape, fn):
+    with pytest.raises(ValueError, match="vectorized over leading axes"):
+        sphere.partials(fn, _stencil_points(shape), 1e-3)
