@@ -171,7 +171,8 @@ class AnalyticGauge:
     def value(self, zeta):
         return exp_im(self.sigma(np.asarray(zeta, float)))
 
-    def dvalue(self, zeta):
+    def jet(self, zeta):
+        """The gauge's value and chart partials (..., a, 4) at zeta."""
         return partials(self.value, zeta, 1e-5)
 
 
@@ -182,8 +183,8 @@ class ConstantGauge(AnalyticGauge):
     def value(self, zeta):
         return np.broadcast_to(self.q0, np.shape(zeta)[:-1] + (4,)).copy()
 
-    def dvalue(self, zeta):
-        return np.zeros(np.shape(zeta)[:-1] + (4, 4))
+    def jet(self, zeta):
+        return self.value(zeta), np.zeros(np.shape(zeta)[:-1] + (4, 4))
 
 
 class GaugeTransformed(ConnectionModel):
@@ -199,8 +200,7 @@ class GaugeTransformed(ConnectionModel):
 
     def potential(self, zeta):
         zeta = np.asarray(zeta, float)
-        s = self.transform.value(zeta)
-        ds = self.transform.dvalue(zeta)
+        s, ds = self.transform.jet(zeta)
         pure = from_components(qmul_im_components(    # Im(s^-1 ds), s unit
             conj_components(components(s[..., None, :])), components(ds)))
         g = self.base.potential(zeta)

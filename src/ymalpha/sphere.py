@@ -201,26 +201,26 @@ class Lattice4D:
 # ---------------------------------------------------------------------------
 
 def partials(fn, zeta, h):
-    """Chart partials d_a[fn] by centred differences; the derivative index is
-    inserted right after the point axes (scalar outputs get shape (..., 4)).
+    """(fn(zeta), d_a[fn]): the value and chart partials by centred
+    differences; the derivative index is inserted right after the point axes.
 
     fn must be vectorized over leading axes: fn(z) for z of shape
     (m,) + zeta.shape returns a result that starts with the same m and point
-    axes.  fn is called once, on the 8 shifted copies zeta + h e_a and
-    zeta - h e_a (a = 0..3) stacked on a new leading axis, so a stencil of a
-    stencil evaluates its innermost fn once on 64x the points (3 840 points
-    for 60).  Each shifted point and each difference is the arithmetic of a
-    separate call per shift, so every returned number is the same."""
+    axes.  fn is called once, on zeta and its shifts zeta + h e_a, zeta - h e_a
+    (a = 0..3) stacked as 9 copies on a new leading axis, so a stencil of a
+    stencil evaluates its innermost fn once on 81x the points.  Each shifted
+    point and each difference is the arithmetic of a separate call per
+    shift, so every returned number is the same."""
     zeta = np.asarray(zeta, float)
     e = (h * np.eye(4)).reshape((4,) + (1,) * (zeta.ndim - 1) + (4,))
-    v = np.asarray(fn(np.concatenate([zeta + e, zeta - e])))
-    lead = (8,) + zeta.shape[:-1]
+    v = np.asarray(fn(np.concatenate([zeta[None], zeta + e, zeta - e])))
+    lead = (9,) + zeta.shape[:-1]
     if v.shape[:len(lead)] != lead:
         raise ValueError(
             "partials needs fn vectorized over leading axes: fn on points of "
             "shape %s returned shape %s, which does not start with %s"
-            % ((8,) + zeta.shape, v.shape, lead))
-    return np.stack((v[:4] - v[4:]) / (2.0 * h), axis=zeta.ndim - 1)
+            % ((9,) + zeta.shape, v.shape, lead))
+    return v[0], np.stack((v[1:5] - v[5:]) / (2.0 * h), axis=zeta.ndim - 1)
 
 
 def central_diff(A, axis, h):

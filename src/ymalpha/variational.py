@@ -29,43 +29,34 @@ def frame_curvature(model, zeta):
     return frame_scale(zeta)[..., None, None, None] ** 2 * model.curvature(zeta)
 
 
+def _nabla(model, zeta, T, dT):
+    """(nabla_a T)_{b_1..b_r} for a frame-component field of any rank r, from
+    its values T (..., b_1..b_r, 3) and chart partials dT (..., a, b_1..b_r, 3)."""
+    zeta = np.asarray(zeta, float)
+    r, u = T.ndim - zeta.ndim, -zeta
+    b = "bce"[:r]                                   # the slots' subscripts
+    out = frame_scale(zeta)[(...,) + (None,) * (r + 2)] * dT
+    for j, c in enumerate(b):
+        # -Gamma^d_ac T_..d.. = -(u_c T_..a.. - delta_ac sum_d u_d T_..d..)
+        at_c = (None,) * j + (slice(None),) + (None,) * (r - j)
+        Ta = np.expand_dims(np.moveaxis(T, j - r - 1, -r - 1), j - r - 1)
+        out -= u[(..., None) + at_c] * Ta
+        tr = np.einsum("...d,...%sm->...%sm"
+                       % (b.replace(c, "d"), b.replace(c, "")), u, T)
+        out += np.eye(4)[(slice(None),) + at_c] \
+            * np.expand_dims(tr, (-r - 2, j - r - 1))
+    gam = np.expand_dims(frame_potential(model, zeta), tuple(range(-r - 1, -1)))
+    return out + bracket(gam, np.expand_dims(T, -r - 2))
+
+
 def cov_oneform(fn, model, zeta, h=FD_STEP):
     """(nabla_a Xi)_b for a frame-component field fn(zeta) -> (..., 4, 3)."""
-    zeta = np.asarray(zeta, float)
-    xi = fn(zeta)
-    d = partials(fn, zeta, h)                       # (..., a, b, 3)
-    w = frame_scale(zeta)[..., None, None, None]
-    u = -zeta
-    out = w * d
-    # -Gamma^c_ab Xi_c = -(u_b Xi_a - delta_ab sum_c u_c Xi_c)
-    out -= u[..., None, :, None] * xi[..., :, None, :]
-    tr = np.einsum("...c,...cm->...m", u, xi)
-    out += np.eye(4)[:, :, None] * tr[..., None, None, :]
-    gam = frame_potential(model, zeta)
-    out += bracket(gam[..., :, None, :], xi[..., None, :, :])
-    return out
+    return _nabla(model, zeta, *partials(fn, zeta, h))
 
 
 def cov_twotensor(fn, model, zeta, h=FD_STEP):
     """(nabla_a T)_bc for a frame-component field fn(zeta) -> (..., 4, 4, 3)."""
-    zeta = np.asarray(zeta, float)
-    T = fn(zeta)
-    d = partials(fn, zeta, h)                       # (..., a, b, c, 3)
-    w = frame_scale(zeta)[..., None, None, None, None]
-    u = -zeta
-    out = w * d
-    # -Gamma^d_ab T_dc = -(u_b T_ac - delta_ab sum_d u_d T_dc)
-    out -= u[..., None, :, None, None] * T[..., :, None, :, :]
-    tr1 = np.einsum("...d,...dcm->...cm", u, T)
-    out += np.eye(4)[:, :, None, None] * tr1[..., None, None, :, :]
-    # -Gamma^d_ac T_bd = -(u_c T_ba - delta_ac sum_d u_d T_bd)
-    Tsw = np.swapaxes(T, -3, -2)
-    out -= u[..., None, None, :, None] * Tsw[..., :, :, None, :]
-    tr2 = np.einsum("...d,...bdm->...bm", u, T)
-    out += np.eye(4)[:, None, :, None] * tr2[..., None, :, None, :]
-    gam = frame_potential(model, zeta)
-    out += bracket(gam[..., :, None, None, :], T[..., None, :, :, :])
-    return out
+    return _nabla(model, zeta, *partials(fn, zeta, h))
 
 
 def dstar_F(model, zeta, h=FD_STEP):
@@ -110,14 +101,14 @@ def gradient_ym_alpha_lambda(model, alpha, lam, zeta, h=FD_STEP):
     w = frame_scale(zeta)
     chi = sphere.chi_lambda(zeta, lam)
     Fh = frame_curvature(model, zeta)
-    f2 = np.sum(Fh * Fh, axis=(-3, -2, -1))
-    denom = 3.0 + chi * f2
-    ds = dstar_F(model, zeta, h)
 
     def f2fn(q):
         Fq = frame_curvature(model, q)
         return np.sum(Fq * Fq, axis=(-3, -2, -1))
-    ef2 = w[..., None] * partials(f2fn, zeta, h)         # e_a(|F|^2_g)
+    f2, df2 = partials(f2fn, zeta, h)
+    denom = 3.0 + chi * f2
+    ds = dstar_F(model, zeta, h)
+    ef2 = w[..., None] * df2                             # e_a(|F|^2_g)
     elog = w[..., None] * _dlogchi(zeta, lam)            # e_a(log chi)
     coef = (alpha - 1.0) * chi / denom
     th1 = -coef[..., None, None] * np.einsum("...a,...abm->...bm", ef2, Fh)
@@ -190,13 +181,16 @@ class ModuliBasis:
             self.coeffs[i, i] = np.sqrt(self._ip(u, u))
             ortho.append(u / self.coeffs[i, i])
         self.values = ortho              # list of (N, 4, 3) frame components
+        self._inv = np.linalg.inv(self.coeffs)  # ortho[k] = sum_i inv[k,i] vals[i]
 
     def _ip(self, a, b):
         return pairwise_sum(np.sum(a * b, axis=(-2, -1)) * self.lattice.weights)
 
     def member(self, k):
-        """Member k as a frame-component callable (for off-lattice stencils)."""
-        inv = np.linalg.inv(self.coeffs)   # ortho[k] = sum_i inv[k,i] vals[i]
+        """Member k in 0..4 as a frame-component callable (off-lattice)."""
+        if not isinstance(k, (int, np.integer)) or k not in range(5):
+            raise ValueError("a moduli member is an int in 0..4, not %r" % (k,))
+        inv = self._inv
 
         def fn(zeta):
             w = frame_scale(zeta)[..., None, None]
@@ -228,9 +222,8 @@ def polarization_residuals(c1, c2, zeta, h=FD_STEP):
 
     # curvature polarization, coordinate components: the curvature formula
     # with the c2-covariant partials of Upsilon in place of dA
-    u = ups(zeta)
-    covU = partials(ups, zeta, h) \
-        + bracket(c2.potential(zeta)[..., :, None, :], u[..., None, :, :])
+    u, dU = partials(ups, zeta, h)
+    covU = dU + bracket(c2.potential(zeta)[..., :, None, :], u[..., None, :, :])
     rhs = fields.curvature_from(u, covU)
     res_f = np.max(np.abs(c1.curvature(zeta) - c2.curvature(zeta) - rhs))
 
@@ -241,8 +234,8 @@ def polarization_residuals(c1, c2, zeta, h=FD_STEP):
 
     def Tfn(q):
         return cov_oneform(uhat, c2, q, h)
-    T = Tfn(zeta)
-    S = cov_twotensor(Tfn, c2, zeta, h)
+    T, dT = partials(Tfn, zeta, h)
+    S = _nabla(c2, zeta, T, dT)
     uh = uhat(zeta)
     rhs2 = np.einsum("...kkim->...im", S) - np.einsum("...ikkm->...im", S)
     rhs2 -= 3.0 * uh + 2.0 * _f_bracket(frame_curvature(c2, zeta), uh)

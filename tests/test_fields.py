@@ -12,7 +12,7 @@ rng = np.random.default_rng(11)
 def _curvature_fd(model, zeta, h):
     """Curvature from centred differences of the potential."""
     return fields.curvature_from(model.potential(zeta),
-                                 sphere.partials(model.potential, zeta, h))
+                                 sphere.partials(model.potential, zeta, h)[1])
 
 
 def test_adhm_curvature_matches_fd():

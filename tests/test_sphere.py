@@ -230,10 +230,10 @@ def test_pairwise_sum_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# centred-difference stencils: one call of fn on all 8 shifts
+# centred-difference stencils: one call of fn on the centre and all 8 shifts
 # ---------------------------------------------------------------------------
 
-def _partials_ref(fn, zeta, h):
+def _partials_loop(fn, zeta, h):
     """The per-axis loop: fn called once per shifted point set."""
     zeta = np.asarray(zeta, float)
     cols = []
@@ -244,11 +244,32 @@ def _partials_ref(fn, zeta, h):
     return np.stack(cols, axis=zeta.ndim - 1)
 
 
-def _with_ref_partials(monkeypatch, thunk):
-    """thunk() with the loop bound wherever partials is bound by name."""
+def _partials_8(fn, zeta, h):
+    """The 8-copy stencil, which returned the partials alone."""
+    zeta = np.asarray(zeta, float)
+    e = (h * np.eye(4)).reshape((4,) + (1,) * (zeta.ndim - 1) + (4,))
+    v = np.asarray(fn(np.concatenate([zeta + e, zeta - e])))
+    lead = (8,) + zeta.shape[:-1]
+    if v.shape[:len(lead)] != lead:
+        raise ValueError(
+            "partials needs fn vectorized over leading axes: fn on points of "
+            "shape %s returned shape %s, which does not start with %s"
+            % ((8,) + zeta.shape, v.shape, lead))
+    return np.stack((v[:4] - v[4:]) / (2.0 * h), axis=zeta.ndim - 1)
+
+
+def _with_centre_call(stencil):
+    """A (value, partials) stencil that calls fn on the centre separately."""
+    def partials(fn, zeta, h):
+        return fn(np.asarray(zeta, float)), stencil(fn, zeta, h)
+    return partials
+
+
+def _with_ref_partials(monkeypatch, thunk, stencil=_partials_loop):
+    """thunk() with a reference bound wherever partials is bound by name."""
     with monkeypatch.context() as m:
         for module in (sphere, variational, fields):
-            m.setattr(module, "partials", _partials_ref)
+            m.setattr(module, "partials", _with_centre_call(stencil))
         return thunk()
 
 
@@ -265,11 +286,19 @@ _BASIS = variational.ModuliBasis(Lattice4D(3.0, 5))
 _GAUGED = fields.GaugeTransformed(
     _PROF, fields.AnalyticGauge(fields.random_bump_sigma(np.random.default_rng(3))))
 _DILATED = fields.pullback(sphere.dilation(0.7), _PROF)
+_ROTATED = fields.GaugeTransformed(
+    fields.pullback(sphere.rotation([0.5, 0.5, -0.5, 0.5], [0.0, 0.6, 0.0, 0.8]),
+                    _OFF),
+    fields.ConstantGauge([0.2, 0.5, -0.3, 0.1]))
 
 
 def _f2(q):
     Fq = variational.frame_curvature(_OFF, q)
     return np.sum(Fq * Fq, axis=(-3, -2, -1))
+
+
+def _d_member(q):
+    return variational.exterior_d(_BASIS.member(3), _OFF, q)
 
 
 _STENCIL_CASES = {
@@ -282,28 +311,50 @@ _STENCIL_CASES = {
         variational.polarization_residuals(_GAUGED, _OFF, z)),
     "cov_oneform": lambda z: variational.cov_oneform(
         _BASIS.member(2), _DILATED, z),
+    "cov_twotensor": lambda z: variational.cov_twotensor(_d_member, _GAUGED, z),
+    "exterior_d": lambda z: variational.exterior_d(_BASIS.member(1), _ROTATED, z),
+    "dstar_oneform": lambda z: variational.dstar_oneform(
+        _BASIS.member(4), _GAUGED, z),
     "gauge potential": lambda z: _GAUGED.potential(z),
-    "scalar fn": lambda z: sphere.partials(_f2, z, 1e-3),
+    "constant gauge rotation potential": lambda z: _ROTATED.potential(z),
+    "scalar fn": lambda z: sphere.partials(_f2, z, 1e-3)[1],
     # sees the sign of each shifted coordinate, the +0 added to unshifted
     # ones included: -0.0 + 0.0 is +0.0, -0.0 - 0.0 is -0.0
     "copysign fn": lambda z: sphere.partials(
-        lambda q: np.copysign(1.0, q), z, 1e-3),
+        lambda q: np.copysign(1.0, q), z, 1e-3)[1],
 }
 _STENCIL_CASES.update({
     "jacobi_apply member %d" % k: (lambda z, k=k: variational.jacobi_apply(
         fields.basic_connection(), _BASIS.member(k), z)) for k in range(5)})
 
 
-@pytest.mark.parametrize("shape", [(4,), (24, 4), (2, 3, 4)])
-@pytest.mark.parametrize("name", sorted(_STENCIL_CASES))
-def test_batched_partials_is_bitwise_the_loop(name, shape, monkeypatch):
-    case = _STENCIL_CASES[name]
-    pts = _stencil_points(shape)
-    ref = _with_ref_partials(monkeypatch, lambda: case(pts))
-    got = case(pts)
+def _assert_bitwise(got, ref):
     assert got.shape == ref.shape
     assert np.array_equal(got, ref)
     assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("shape", [(4,), (24, 4), (2, 3, 4)])
+@pytest.mark.parametrize("name", sorted(_STENCIL_CASES))
+def test_batched_partials_is_bitwise_the_loop(name, shape, monkeypatch):
+    """Against the per-axis loop and the 8-copy stencil, each with the
+    centre evaluated in a call of its own."""
+    case = _STENCIL_CASES[name]
+    pts = _stencil_points(shape)
+    got = case(pts)
+    for stencil in (_partials_loop, _partials_8):
+        _assert_bitwise(got, _with_ref_partials(
+            monkeypatch, lambda: case(pts), stencil))
+
+
+@pytest.mark.parametrize("shape", [(4,), (24, 4), (2, 3, 4)])
+@pytest.mark.parametrize("fn", [_OFF.potential, _f2, _d_member,
+                                lambda q: np.copysign(1.0, q)])
+def test_partials_value_is_bitwise_fn(fn, shape):
+    pts = _stencil_points(shape)
+    value, d = sphere.partials(fn, pts, 1e-3)
+    _assert_bitwise(value, fn(pts))
+    _assert_bitwise(d, _partials_8(fn, pts, 1e-3))
 
 
 def _count_calls(fn):
@@ -328,17 +379,19 @@ class _CountedCurvature(fields.Adhm):
 def test_partials_calls_fn_once():
     pts = _stencil_points((2, 3, 4))
     fn, calls = _count_calls(_OFF.potential)
-    assert sphere.partials(fn, pts, 1e-3).shape == (2, 3, 4, 4, 3)
-    assert calls == [(8, 2, 3, 4)]
+    value, d = sphere.partials(fn, pts, 1e-3)
+    assert (value.shape, d.shape) == ((2, 3, 4, 3), (2, 3, 4, 4, 3))
+    assert calls == [(9, 2, 3, 4)]
     fn, calls = _count_calls(sphere.frame_scale)
-    assert sphere.partials(fn, pts[0, 0], 1e-3).shape == (4,)
-    assert calls == [(8, 4)]
+    value, d = sphere.partials(fn, pts[0, 0], 1e-3)
+    assert (value.shape, d.shape) == ((), (4,))
+    assert calls == [(9, 4)]
 
 
-@pytest.mark.parametrize("ref, want", [(False, (5, 2)), (True, (82, 9))])
+@pytest.mark.parametrize("ref, want", [(False, (2, 1)), (True, (82, 9))])
 def test_stencil_call_counts(ref, want, monkeypatch):
-    """jacobi_apply's field and dstar_F's curvature calls; the loop's counts
-    show what the batching saves."""
+    """jacobi_apply's field and dstar_F's curvature calls; the loop's counts,
+    with the centre in a call of its own, show what the batching saves."""
     def run():
         pts = _stencil_points((24, 4))
         xi, calls = _count_calls(_BASIS.member(1))
@@ -350,11 +403,12 @@ def test_stencil_call_counts(ref, want, monkeypatch):
 
 
 @pytest.mark.parametrize("shape, fn", [
-    ((4,), lambda q: np.full(9, np.sum(q))),           # 9 outputs, no point axis
-    ((4,), lambda q: np.sum(q)),                       # a scalar for all 8
+    ((4,), lambda q: np.full(10, np.sum(q))),          # 10 outputs, no point axis
+    ((4,), lambda q: np.sum(q)),                       # a scalar for all 9
     ((24, 4), lambda q: q.reshape(-1, 4)[:, 0]),       # point axes flattened
     ((2, 3, 4), lambda q: q[0]),                       # shift axis dropped
 ])
 def test_partials_rejects_unvectorized_fn(shape, fn):
-    with pytest.raises(ValueError, match="vectorized over leading axes"):
+    with pytest.raises(ValueError, match=r"vectorized over leading axes.*"
+                       r"does not start with \(9,"):
         sphere.partials(fn, _stencil_points(shape), 1e-3)

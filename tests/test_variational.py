@@ -22,9 +22,9 @@ def _jacobi_weitzenboeck(model, xi_fn, zeta, h):
 
     def div(q):
         return variational.dstar_oneform(xi_fn, model, q, h)
-    dd = frame_scale(zeta)[..., None, None] * partials(div, zeta, h)
-    dd += bracket(variational.frame_potential(model, zeta),
-                  div(zeta)[..., None, :])
+    dv, ddv = partials(div, zeta, h)
+    dd = frame_scale(zeta)[..., None, None] * ddv
+    dd += bracket(variational.frame_potential(model, zeta), dv[..., None, :])
     return lap + dd - 3.0 * xi - 2.0 * fxi
 
 
@@ -176,3 +176,110 @@ def test_dstar_oneform_of_covariantly_constant():
     out = variational.dstar_oneform(lambda q: np.zeros(q.shape[:-1] + (4, 3)),
                                     fields.basic_connection(), pts, h=1e-3)
     assert np.allclose(out, 0.0, atol=1e-12)
+
+
+def test_moduli_member_rejects_bad_index():
+    basis = variational.ModuliBasis(Lattice4D(3.0, 5))
+    for k in (-1, 5, 7, 1.0, "2", None):
+        with pytest.raises(ValueError, match="int in 0..4"):
+            basis.member(k)
+    pts = rng.normal(scale=0.7, size=(6, 4))
+    assert basis.member(np.int64(4))(pts).shape == (6, 4, 3)
+
+
+# ---------------------------------------------------------------------------
+# one covariant derivative for every rank, against the per-rank copies
+# ---------------------------------------------------------------------------
+
+def _cov_oneform_ref(fn, model, zeta, h=variational.FD_STEP, stencil=partials):
+    """The rank-1 covariant derivative as it was written out on its own."""
+    zeta = np.asarray(zeta, float)
+    xi = fn(zeta)
+    d = stencil(fn, zeta, h)[1]                     # (..., a, b, 3)
+    w = frame_scale(zeta)[..., None, None, None]
+    u = -zeta
+    out = w * d
+    # -Gamma^c_ab Xi_c = -(u_b Xi_a - delta_ab sum_c u_c Xi_c)
+    out -= u[..., None, :, None] * xi[..., :, None, :]
+    tr = np.einsum("...c,...cm->...m", u, xi)
+    out += np.eye(4)[:, :, None] * tr[..., None, None, :]
+    gam = variational.frame_potential(model, zeta)
+    out += bracket(gam[..., :, None, :], xi[..., None, :, :])
+    return out
+
+
+def _cov_twotensor_ref(fn, model, zeta, h=variational.FD_STEP,
+                       stencil=partials):
+    """The rank-2 covariant derivative as it was written out on its own."""
+    zeta = np.asarray(zeta, float)
+    T = fn(zeta)
+    d = stencil(fn, zeta, h)[1]                     # (..., a, b, c, 3)
+    w = frame_scale(zeta)[..., None, None, None, None]
+    u = -zeta
+    out = w * d
+    # -Gamma^d_ab T_dc = -(u_b T_ac - delta_ab sum_d u_d T_dc)
+    out -= u[..., None, :, None, None] * T[..., :, None, :, :]
+    tr1 = np.einsum("...d,...dcm->...cm", u, T)
+    out += np.eye(4)[:, :, None, None] * tr1[..., None, None, :, :]
+    # -Gamma^d_ac T_bd = -(u_c T_ba - delta_ac sum_d u_d T_bd)
+    Tsw = np.swapaxes(T, -3, -2)
+    out -= u[..., None, None, :, None] * Tsw[..., :, :, None, :]
+    tr2 = np.einsum("...d,...bdm->...bm", u, T)
+    out += np.eye(4)[:, None, :, None] * tr2[..., None, :, None, :]
+    gam = variational.frame_potential(model, zeta)
+    out += bracket(gam[..., :, None, None, :], T[..., None, :, :, :])
+    return out
+
+
+def _nabla_ref(model, zeta, T, dT):
+    """variational._nabla through the per-rank copy of T's rank."""
+    zeta = np.asarray(zeta, float)
+    cov = {1: _cov_oneform_ref, 2: _cov_twotensor_ref}[T.ndim - zeta.ndim]
+    return cov(lambda q: T, model, zeta, stencil=lambda fn, z, h: (T, dT))
+
+
+_OFF = fields.Adhm(np.array([0.3, -0.2, 0.1, 0.05]), 1.3)
+_MODULI = variational.ModuliBasis(Lattice4D(3.0, 5))
+_GAUGED = fields.GaugeTransformed(
+    fields.random_radial_profile(np.random.default_rng(2)),
+    fields.AnalyticGauge(fields.random_bump_sigma(np.random.default_rng(3))))
+
+
+def _d_member(q):
+    return variational.exterior_d(_MODULI.member(3), _OFF, q)
+
+
+_NABLA_CASES = {
+    "cov_oneform": lambda z: variational.cov_oneform(
+        _MODULI.member(2), _GAUGED, z),
+    "cov_twotensor": lambda z: variational.cov_twotensor(_d_member, _GAUGED, z),
+    "exterior_d": lambda z: variational.exterior_d(_MODULI.member(0), _OFF, z),
+    "dstar_oneform": lambda z: variational.dstar_oneform(
+        _MODULI.member(4), _GAUGED, z),
+    "dstar_F": lambda z: variational.dstar_F(_GAUGED, z),
+    "gradient_ym_alpha_lambda": lambda z: variational.gradient_ym_alpha_lambda(
+        _OFF, 1.7, 0.5, z),
+    "jacobi_apply": lambda z: variational.jacobi_apply(
+        _OFF, _MODULI.member(1), z, h=2e-3),
+    "polarization_residuals": lambda z: np.array(
+        variational.polarization_residuals(_OFF, _GAUGED, z)),
+}
+
+
+@pytest.mark.parametrize("shape", [(4,), (24, 4), (2, 3, 4)])
+@pytest.mark.parametrize("name", sorted(_NABLA_CASES))
+def test_nabla_is_bitwise_the_per_rank_copies(name, shape, monkeypatch):
+    case = _NABLA_CASES[name]
+    pts = np.random.default_rng(29).normal(scale=0.7, size=shape)
+    flat = pts.reshape(-1, 4)
+    flat[0, 1] = -0.0
+    flat[-1, 3] = 0.0
+    got = case(pts)
+    with monkeypatch.context() as m:
+        m.setattr(variational, "cov_oneform", _cov_oneform_ref)
+        m.setattr(variational, "cov_twotensor", _cov_twotensor_ref)
+        m.setattr(variational, "_nabla", _nabla_ref)
+        ref = case(pts)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
